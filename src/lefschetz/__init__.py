@@ -2,10 +2,10 @@
 
 The package works with words of right-handed Dehn twists on a closed
 oriented surface, checks that a word multiplies out to the identity
-(on homology, mod small primes, or exactly in the mapping class group
-via a free-group representation), computes the invariants of the total
-space of the corresponding fibration, performs the standard moves that
-do not change the total space (Hurwitz moves, global conjugation,
+(on homology, or exactly in the mapping class group via a free-group
+representation), computes the invariants of the total space of the
+corresponding fibration, performs the standard moves that do not
+change the total space (Hurwitz moves, global conjugation,
 fiber sum, lantern and chain substitutions), and maps out which twist
 counts (n, s) are attainable in genus 2.
 """
@@ -54,7 +54,6 @@ from .invariants import (
     Presentation,
     basis_pair_search,
     betti_bound_check,
-    betti_numbers,
     euler_characteristic,
     first_homology,
     invariant_report,
@@ -105,7 +104,6 @@ __all__ = [
     "b2plus_one_types",
     "basis_pair_search",
     "betti_bound_check",
-    "betti_numbers",
     "boundary_word",
     "catalog",
     "chain_substitute",

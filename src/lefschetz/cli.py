@@ -3,7 +3,8 @@
 Sources are file paths in the standard format, or ``catalog:NAME`` for a
 built-in entry.  Commands that produce a new factorization write it with
 ``-o`` or print it to stdout.  Exit codes: 0 on success, 1 when a check
-fails, 2 on usage or parse errors.
+fails, 2 on usage or parse errors and when a computation runs out of
+memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from . import catalog, feasibility, fileformat, invariants, monodromy, symplectic
 
-_LEVELS = ("homology", "mod_p", "exact")
+_LEVELS = ("homology", "exact")
 
 
 class _CheckFailure(Exception):
@@ -37,18 +38,13 @@ def _emit(f: monodromy.Factorization, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _level(arg: str) -> str:
-    return "mod_p" if arg == "modp" else arg
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     f = _load(args.src)
     if args.level is not None:
-        level = _level(args.level)
-        if monodromy.identity_check(f, level):
-            print(f"identity: {level}")
+        if monodromy.identity_check(f, args.level):
+            print(f"identity: {args.level}")
             return 0
-        print(f"identity check failed at level {level}")
+        print(f"identity check failed at level {args.level}")
         return 1
     best = None
     for level in _LEVELS:
@@ -231,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the identity check")
     p.add_argument("src")
-    p.add_argument("--level", choices=("homology", "modp", "exact"))
+    p.add_argument("--level", choices=_LEVELS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("invariants", help="report total-space invariants")
@@ -323,8 +319,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (fileformat.ParseError, FileNotFoundError, IsADirectoryError,
-            KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        message = exc.args[0] if exc.args else exc
+            KeyError, TypeError, IndexError, ValueError, OverflowError,
+            MemoryError, RecursionError) as exc:
+        message = exc.args[0] if exc.args else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2
 

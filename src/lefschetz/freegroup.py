@@ -134,15 +134,6 @@ def compose(outer: Endo, inner: Endo) -> Endo:
     return tuple(apply_endo(outer, im) for im in inner)
 
 
-def compose_all(endos: Sequence[Endo], rank: int) -> Endo:
-    """Compose left to right in application order: the first entry of
-    ``endos`` acts first."""
-    total = identity_endo(rank)
-    for e in endos:
-        total = compose(e, total)
-    return total
-
-
 def is_identity(images: Endo) -> bool:
     return all(im == (i + 1,) for i, im in enumerate(images))
 

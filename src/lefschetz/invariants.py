@@ -126,12 +126,6 @@ def invariant_report(
     )
 
 
-def betti_numbers(f: Factorization) -> tuple[tuple[int, ...], Optional[int], Optional[int]]:
-    """Betti numbers (b0..b4) plus (b2+, b2-) when the signature is known."""
-    report = invariant_report(f)
-    return report.betti, report.b2_plus, report.b2_minus
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation of the fundamental group of the total space."""

@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 from . import freegroup
 from . import symplectic
 from .freegroup import Endo, Word
+from .intlinalg import identity_matrix, is_identity_matrix, mat_mul
 from .surface import Surface, standard_surface
 
 Token = tuple[str, int]
@@ -112,18 +113,10 @@ def conjugator_matrix(tokens: Iterable[Token], genus: int):
     mat = None
     for label, sign in tokens:
         step = symplectic.transvection(surf.class_of(label), power=sign)
-        mat = step if mat is None else _mat_mul(mat, step)
+        mat = step if mat is None else mat_mul(mat, step)
     if mat is None:
-        from .intlinalg import identity_matrix
-
         return identity_matrix(2 * genus)
     return mat
-
-
-def _mat_mul(a, b):
-    from .intlinalg import mat_mul
-
-    return mat_mul(a, b)
 
 
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
@@ -173,18 +166,6 @@ def curves_equal(a: Curve, b: Curve, genus: int) -> bool:
     return a.reduced() == b.reduced()
 
 
-def normalize_curve(curve: Curve, genus: int) -> Curve:
-    """Reduce the conjugator; at genus 2 drop it when it fixes the curve."""
-    red = curve.reduced()
-    if not red.conj:
-        return red
-    if genus == 2:
-        surf = standard_surface(genus)
-        if freegroup.same_loop(curve_word(red, genus), surf.word_of(red.base)):
-            return Curve(red.base)
-    return red
-
-
 def ns_type(f: Factorization) -> tuple[int, int]:
     """Counts of (nonseparating, separating) vanishing cycles."""
     s = sum(1 for c in f.cycles if is_separating(c, f.genus))
@@ -214,7 +195,6 @@ class IdentityReport:
     level: str
     passed: bool
     conjugator: Optional[Word] = None
-    primes: Optional[dict] = None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -223,22 +203,11 @@ class IdentityReport:
 def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
     """Check whether the factorization composes to the identity.
 
-    Levels: "homology" tests the Sp(2g,Z) image; "mod_p" tests the image
-    in Sp(2g, Z/p) for p in {2,3,5}; "exact" tests that the composite
-    free-group automorphism is inner (genus 2 only).
+    Levels: "homology" tests the Sp(2g,Z) image; "exact" tests that the
+    composite free-group automorphism is inner (genus 2 only).
     """
     if level == "homology":
-        from .intlinalg import is_identity_matrix
-
         return IdentityReport(level, is_identity_matrix(evaluate(f)))
-    if level == "mod_p":
-        from .intlinalg import mat_mod, identity_matrix, is_identity_matrix
-
-        mat = evaluate(f)
-        primes = {}
-        for p in (2, 3, 5):
-            primes[p] = mat_mod(mat, p) == mat_mod(identity_matrix(2 * f.genus), p)
-        return IdentityReport(level, all(primes.values()), primes=primes)
     if level == "exact":
         aut = composite_endo(f)
         conj = freegroup.is_inner(aut)

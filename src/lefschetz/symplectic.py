@@ -1,19 +1,20 @@
 """The symplectic side of twisting: transvections on surface homology,
-exact products over the integers, and breadth-first closures of the
-groups those products generate modulo a prime.
+exact products over the integers, and the orders of the groups those
+products generate modulo a prime, from Schreier-Sims stabilizer chains.
 
 A twist about a curve of class c acts on first homology by the
 transvection  x -> x + <x, c> c.  With the pairing fixed block diagonal
 this is the integer matrix  I - c c^T J,  which is symplectic and
-unipotent.  Everything in this module works for arbitrary genus; only
-the closure routines assume the matrices fit their packed encoding and
-fall back to a plain set of byte strings when they do not.
+unipotent.  Everything in this module works for arbitrary genus except
+``mod_p_closure``, which is limited to genus 2 and p in {2, 3, 5}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import product
+from math import prod
 
 from . import intlinalg
 from .intlinalg import Matrix, Vector, mat_mul, mat_vec
@@ -74,53 +75,112 @@ class ClosureReport:
         return self.order == self.full_group_order
 
 
-def _closure_numpy(gens, p: int, dim: int) -> int:
-    import numpy as np
-
-    # Pack a matrix into one uint64: base-p digits in row major order.
-    weights = (p ** np.arange(dim * dim, dtype=np.uint64)).astype(np.uint64)
-
-    def encode(batch):
-        flat = batch.reshape(len(batch), dim * dim).astype(np.uint64)
-        return (flat * weights).sum(axis=1)
-
-    gen_arr = np.array(gens, dtype=np.int64) % p
-    gen_arr = gen_arr.astype(np.uint16)
-    frontier = np.eye(dim, dtype=np.uint16)[None, :, :]
-    seen = encode(frontier)
-    while frontier.size:
-        batches = []
-        for k in range(len(gen_arr)):
-            prod = (frontier.astype(np.uint32) @ gen_arr[k].astype(np.uint32)) % p
-            batches.append(prod.astype(np.uint16))
-        nxt = np.concatenate(batches)
-        keys = encode(nxt)
-        keys, first_idx = np.unique(keys, return_index=True)
-        nxt = nxt[first_idx]
-        fresh = ~np.isin(keys, seen, assume_unique=False)
-        nxt = nxt[fresh]
-        if not len(nxt):
-            break
-        seen = np.union1d(seen, keys[fresh])
-        frontier = nxt
-    return int(len(seen))
+def _vector_permutation(m: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """The action of m on (Z/p)^n as a permutation of vector codes: a
+    vector's code is its index in ``itertools.product(range(p), repeat=n)``,
+    that is its base-p digits with the first coordinate most significant."""
+    image = []
+    for v in product(range(p), repeat=len(m)):
+        code = 0
+        for x in mat_vec(m, v):
+            code = code * p + x % p
+        image.append(code)
+    return tuple(image)
 
 
-def _closure_sets(gens, p: int, dim: int) -> int:
-    reduced = [intlinalg.mat_mod(g, p) for g in gens]
-    ident = intlinalg.identity_matrix(dim)
-    seen = {ident}
-    frontier = [ident]
+def _mul(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of permutations, g acting first."""
+    return tuple(map(h.__getitem__, g))
+
+
+def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    # Sorting g's own entries, rather than a fresh range, reuses its int
+    # objects, which keeps the chain's memory down at p = 5.
+    return tuple(sorted(g, key=g.__getitem__))
+
+
+def _orbit(tree: dict, perms: Sequence[tuple[int, ...]]) -> dict:
+    """Breadth-first orbit walk.  ``tree`` maps each point of a partial
+    orbit to the edge ``(point, permutation)`` that reached it, or to None
+    at the start point; it is extended in place to the whole orbit under
+    ``perms``, keeping the edges it had."""
+    frontier = list(tree)
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in reduced:
-                prod = intlinalg.mat_mod(mat_mul(m, g), p)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
+        for b in frontier:
+            for g in perms:
+                c = g[b]
+                if c not in tree:
+                    tree[c] = (b, g)
+                    nxt.append(c)
         frontier = nxt
-    return len(seen)
+    return tree
+
+
+def _chain_order(perms: Sequence[tuple[int, ...]], n: int) -> int:
+    """Order of the group generated by ``perms``, distinct nontrivial
+    permutations of n points, from a base and strong generating set built
+    by deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, section 4.4): the Schreier generators of
+    each level are sifted through the levels below it; a residue that
+    does not sift becomes a strong generator of every level down to the
+    one where it stopped, and processing resumes there."""
+    ident = tuple(range(n))
+    base, gens, trees, cosets = [], [], [], []
+
+    def coset(i, beta):
+        """The transversal element of level i carrying base[i] to beta,
+        and its inverse."""
+        pair = cosets[i].get(beta)
+        if pair is None:
+            parent, g = trees[i][beta]
+            u = _mul(coset(i, parent)[0], g)
+            pair = cosets[i][beta] = (u, _inverse(u))
+        return pair
+
+    def sift(h, i):
+        for i in range(i, len(base)):
+            beta = h[base[i]]
+            if beta not in trees[i]:
+                return h, i
+            h = _mul(h, coset(i, beta)[1])
+        return h, len(base)
+
+    def add(h, first, last):
+        if last == len(base):
+            base.append(next(x for x in ident if h[x] != x))
+            gens.append([])
+            trees.append({base[-1]: None})
+            cosets.append({base[-1]: (ident, ident)})
+        for level in range(first, last + 1):
+            gens[level].append(h)
+            _orbit(trees[level], gens[level])
+
+    def residue(i):
+        """The first Schreier generator of level i that does not sift
+        through the levels below, with the level where it stopped."""
+        for beta in trees[i]:
+            for s in gens[i]:
+                us = _mul(coset(i, beta)[0], s)
+                u, u_inv = coset(i, s[beta])
+                if us != u:
+                    h, j = sift(_mul(us, u_inv), i + 1)
+                    if h != ident:
+                        return h, j
+        return None
+
+    for g in perms:
+        add(g, 0, 0)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        add(h, i + 1, j)
+        i = j
+    return prod(len(tree) for tree in trees)
 
 
 def mod_p_closure(
@@ -129,9 +189,11 @@ def mod_p_closure(
     """Size of the subgroup of Sp(2g, Z/p) generated by the given
     integer matrices.
 
-    The walk is level synchronous from the identity, multiplying each
-    frontier element by every generator; since the ambient group is
-    finite, the monoid closure reached this way is the full subgroup.
+    The group acts faithfully on the vectors of (Z/p)^2g, so each
+    generator that is distinct and nontrivial mod p becomes a
+    permutation of them; a Schreier-Sims stabilizer chain of those
+    permutations gives the order as the product of its basic orbit
+    lengths.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -140,10 +202,10 @@ def mod_p_closure(
     dim = len(generators[0][0])
     if dim != 4:
         raise ValueError("closures are supported for genus 2 only")
-    if p ** (dim * dim) < 2**63:
-        order = _closure_numpy(generators, p, dim)
-    else:
-        order = _closure_sets(generators, p, dim)
+    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in generators)
+    distinct.pop(intlinalg.identity_matrix(dim), None)
+    perms = [_vector_permutation(g, p) for g in distinct]
+    order = _chain_order(perms, p**dim)
     return ClosureReport(p, dim // 2, order, symplectic_group_order(dim // 2, p))
 
 
@@ -186,20 +248,10 @@ def vector_orbit(
     generators: Sequence[Sequence[Sequence[int]]], start: Sequence[int], p: int
 ) -> set[tuple[int, ...]]:
     """Orbit of a vector mod p under the group the generators produce."""
-    reduced = [intlinalg.mat_mod(g, p) for g in generators]
-    v0 = tuple(x % p for x in start)
-    seen = {v0}
-    frontier = [v0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in reduced:
-                w = tuple(x % p for x in mat_vec(m, v))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    vectors = list(product(range(p), repeat=len(start)))
+    v0 = vectors.index(tuple(x % p for x in start))
+    perms = [_vector_permutation(g, p) for g in generators]
+    return {vectors[k] for k in _orbit({v0: None}, perms)}
 
 
 def acts_transitively_mod_p(

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import lefschetz
+from lefschetz import symplectic
 from lefschetz.cli import main
 
 
@@ -9,8 +16,8 @@ def test_check_catalog_entry_exact(capsys):
 
 
 def test_check_explicit_level(capsys):
-    assert main(["check", "catalog:matsumoto-62", "--level", "modp"]) == 0
-    assert capsys.readouterr().out == "identity: mod_p\n"
+    assert main(["check", "catalog:matsumoto-62", "--level", "homology"]) == 0
+    assert capsys.readouterr().out == "identity: homology\n"
 
 
 def test_check_failure_exits_one(tmp_path, capsys):
@@ -93,6 +100,42 @@ def test_transitivity_output(capsys):
     out = capsys.readouterr().out
     assert "p=2: closure order 720 of 720 (full)" in out
     assert "verdict: consistent with transitive" in out
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(symplectic, "transitivity_certificate", exhausted)
+    assert main(["transitivity", "catalog:chakiris-gamma"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_default_transitivity_fits_in_512_mb_without_numpy():
+    child = textwrap.dedent("""
+        import resource
+        import sys
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 * 1024, hard))
+        from lefschetz.cli import main
+
+        code = main(["transitivity", "catalog:chakiris-gamma"])
+        print("numpy imported:", "numpy" in sys.modules)
+        sys.exit(code)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefschetz.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", child], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "p=2: closure order 720 of 720 (full)" in lines
+    assert "p=3: closure order 51840 of 51840 (full)" in lines
+    assert "p=5: closure order 9360000 of 9360000 (full)" in lines
+    assert "numpy imported: False" in lines
 
 
 def test_feasibility_csv_deterministic(capsys):

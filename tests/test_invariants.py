@@ -5,7 +5,6 @@ from lefschetz.intlinalg import AbelianGroup
 from lefschetz.invariants import (
     basis_pair_search,
     betti_bound_check,
-    betti_numbers,
     euler_characteristic,
     first_homology,
     invariant_report,
@@ -64,11 +63,11 @@ def test_invariant_report_flags_tight_separating_count():
     assert report.warnings == ()
 
 
-def test_betti_numbers_unpack():
-    betti, b2p, b2m = betti_numbers(get_factorization("chakiris-gamma"))
-    assert betti == (1, 0, 14, 0, 1)
-    assert b2p == 1
-    assert b2m == 13
+def test_invariant_report_betti_numbers():
+    report = invariant_report(get_factorization("chakiris-gamma"))
+    assert report.betti == (1, 0, 14, 0, 1)
+    assert report.b2_plus == 1
+    assert report.b2_minus == 13
 
 
 def test_pi1_presentation_and_abelianization():

@@ -76,7 +76,7 @@ def test_evaluate_identity_word():
 
 def test_identity_check_levels():
     f = chain_word()
-    for level in ("homology", "mod_p", "exact"):
+    for level in ("homology", "exact"):
         report = identity_check(f, level)
         assert report.passed
         assert report.level == level

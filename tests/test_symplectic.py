@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+from lefschetz.catalog import get_factorization
 from lefschetz.intlinalg import identity_matrix, is_identity_matrix, mat_mul
+from lefschetz.monodromy import curve_class
 from lefschetz.surface import algebraic_intersection, standard_surface
 from lefschetz.symplectic import (
     acts_transitively_mod_p,
@@ -16,6 +20,27 @@ from lefschetz.symplectic import (
 def _chain_transvections():
     s = standard_surface(2)
     return [transvection(s.class_of(f"c{i}")) for i in range(1, 6)]
+
+
+def _set_closure_order(generators, p):
+    """Reference order: a breadth-first closure that stores every group
+    element as a matrix mod p."""
+    def reduce(m):
+        return tuple(tuple(x % p for x in row) for row in m)
+
+    gens = [reduce(g) for g in generators]
+    seen = {identity_matrix(4)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = reduce(mat_mul(m, g))
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
 
 
 def test_transvection_is_symplectic():
@@ -60,10 +85,51 @@ def test_symplectic_group_orders():
 
 def test_chain_twists_generate_full_group_mod_two_and_three():
     gens = _chain_transvections()
-    for p, order in ((2, 720), (3, 51840)):
+    for p, order in ((2, 720), (3, 51840), (5, 9360000)):
         report = mod_p_closure(gens, p)
         assert report.order == order
         assert report.is_full
+
+
+def test_matsumoto_word_generates_a_proper_subgroup_mod_five():
+    f = get_factorization("matsumoto-62")
+    gens = [transvection(curve_class(c, f.genus)) for c in f.cycles]
+    report = mod_p_closure(gens, 5)
+    assert report.order == 120
+    assert not report.is_full
+
+
+def test_closure_matches_set_closure_on_random_multisets():
+    s = standard_surface(2)
+    labels = ("c1", "c2", "c3", "c4", "c5", "s1")
+    twists = {label: transvection(s.class_of(label)) for label in labels}
+    assert mod_p_closure([twists["s1"]] * 2, 3).order == 1
+    rng = random.Random(20251003)
+    for _ in range(40):
+        p = rng.choice((2, 3))
+        # At p = 3 at most three distinct twists: their groups have at
+        # most 648 elements, so the reference stays fast.
+        pool = labels if p == 2 else rng.sample(labels, 3)
+        drawn = rng.choices(pool, k=rng.randint(1, 8))
+        gens = [twists[label] for label in drawn]
+        assert mod_p_closure(gens, p).order == _set_closure_order(gens, p), (
+            p, drawn)
+
+
+def test_closure_matches_set_closure_on_random_products_mod_two():
+    # Products of twists give chains whose lower levels gain strong
+    # generators of their own; transvections alone rarely do.
+    s = standard_surface(2)
+    twists = [transvection(s.class_of(label)) for label in s.labels]
+    rng = random.Random(7)
+    for _ in range(150):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.choice(twists)
+            for _ in range(rng.randrange(5)):
+                m = mat_mul(m, rng.choice(twists))
+            gens.append(m)
+        assert mod_p_closure(gens, 2).order == _set_closure_order(gens, 2)
 
 
 def test_single_twist_generates_a_proper_subgroup():
