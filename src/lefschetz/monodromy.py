@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 from . import freegroup
 from . import symplectic
 from .freegroup import Endo, Word
-from .intlinalg import identity_matrix, is_identity_matrix, mat_mul
-from .surface import Surface, standard_surface
+from .intlinalg import is_identity_matrix
+from .surface import algebraic_intersection, standard_surface
 
 Token = tuple[str, int]
 
@@ -107,24 +107,18 @@ class Factorization:
         return len(self.cycles)
 
 
-def conjugator_matrix(tokens: Iterable[Token], genus: int):
-    """Homology action of an outermost-first token word."""
-    surf = standard_surface(genus)
-    mat = None
-    for label, sign in tokens:
-        step = symplectic.transvection(surf.class_of(label), power=sign)
-        mat = step if mat is None else mat_mul(mat, step)
-    if mat is None:
-        return identity_matrix(2 * genus)
-    return mat
-
-
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
-    """Homology class of a conjugated standard curve."""
+    """Homology class of a conjugated standard curve: the base class pushed
+    through the conjugator's transvections ``x -> x + sign <x, c> c``,
+    innermost token first."""
     surf = standard_surface(genus)
-    base = surf.class_of(curve.base)
-    mat = conjugator_matrix(curve.conj, genus)
-    return tuple(sum(row[j] * base[j] for j in range(len(base))) for row in mat)
+    x = surf.class_of(curve.base)
+    for label, sign in reversed(curve.conj):
+        c = surf.class_of(label)
+        t = sign * algebraic_intersection(x, c)
+        if t:
+            x = tuple(xi + t * ci for xi, ci in zip(x, c))
+    return x
 
 
 def is_separating(curve: Curve, genus: int) -> bool:
@@ -179,12 +173,16 @@ def evaluate(f: Factorization):
 
 
 def composite_endo(f: Factorization) -> Endo:
-    """Composite free-group automorphism of the whole word (genus 2)."""
+    """Composite free-group automorphism of the whole word (genus 2).  The
+    twist about each distinct curve is built once per call."""
     if f.genus != 2:
         raise ValueError("exact composites are available only at genus 2")
+    twists: dict[Curve, Endo] = {}
     acc = freegroup.identity_endo(4)
     for curve in f.cycles:
-        acc = freegroup.compose(curve_twist_endo(curve), acc)
+        if curve not in twists:
+            twists[curve] = curve_twist_endo(curve)
+        acc = freegroup.compose(twists[curve], acc)
     return acc
 
 

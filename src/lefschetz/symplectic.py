@@ -47,11 +47,17 @@ def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
 
 def evaluate_classes(classes: Sequence[Sequence[int]], rank: int) -> Matrix:
     """Composite transvection for a list of twist classes applied in
-    order: the first class acts first."""
-    total = intlinalg.identity_matrix(rank)
+    order: the first class acts first.  Each transvection is applied as
+    the rank-one update  M <- M + c ((Jc)^T M),  in O(rank^2) steps."""
+    j = intersection_matrix(rank // 2)
+    total = [list(row) for row in intlinalg.identity_matrix(rank)]
     for c in classes:
-        total = mat_mul(transvection(c), total)
-    return total
+        jc = mat_vec(j, c)
+        r = [sum(x * y for x, y in zip(jc, col)) for col in zip(*total)]
+        for ci, row in zip(c, total):
+            if ci:
+                row[:] = [y + ci * x for x, y in zip(r, row)]
+    return tuple(tuple(row) for row in total)
 
 
 def symplectic_group_order(genus: int, p: int) -> int:

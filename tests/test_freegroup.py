@@ -107,6 +107,14 @@ def test_is_inner():
     assert fg.is_inner(fg.twist_endo("c1")) is None
 
 
+@pytest.mark.parametrize("k", [5000, -5000])
+def test_is_inner_solves_large_conjugator_powers(k):
+    # a power scan would try about 10^4 candidates of about 10^4 letters
+    w = (2, 3, -4) + ((1,) * k if k > 0 else (-1,) * -k)
+    images = tuple(fg.conjugate((g,), w) for g in range(1, 5))
+    assert fg.is_inner(images) == w
+
+
 def test_twist_endo_rejects_unknown_label():
     with pytest.raises(ValueError):
         fg.twist_endo("c9")
