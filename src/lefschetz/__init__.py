@@ -28,7 +28,6 @@ from .monodromy import (
     chain_substitute,
     classify_curve,
     curve_class,
-    curves_equal,
     evaluate,
     fiber_sum,
     global_conjugate,
@@ -75,9 +74,7 @@ from .feasibility import (
 from .fileformat import (
     ParseError,
     parse_factorization,
-    parse_lantern,
     serialize_factorization,
-    serialize_lantern,
 )
 from . import catalog
 
@@ -110,7 +107,6 @@ __all__ = [
     "classify_curve",
     "compose",
     "curve_class",
-    "curves_equal",
     "emit_chart",
     "enumerate_types",
     "euler_characteristic",
@@ -130,12 +126,10 @@ __all__ = [
     "mod_p_closure",
     "ns_type",
     "parse_factorization",
-    "parse_lantern",
     "pi1_presentation",
     "presentation_h1",
     "rotate",
     "serialize_factorization",
-    "serialize_lantern",
     "signature_g2",
     "smith_normal_form",
     "standard_lantern",

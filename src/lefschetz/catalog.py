@@ -1,11 +1,13 @@
 """Named genus-2 monodromy words, with verification gates.
 
 The catalog collects the classical chain words, the two reference words
-with first Betti number two from the literature, a registered lantern
+with first Betti number two from the literature, the registered lantern
 configuration, and three words derived in-package by substitution or
-fiber sum.  Static entries live as data files next to this module;
-derived entries are rebuilt from their recipes on first access, so the
-package never ships a word it could not reproduce.
+fiber sum.  Static words live as data files next to this module; a
+missing file is a broken install and raises.  The lantern entry is
+``standard_lantern()`` itself.  Derived entries are rebuilt from their
+recipes on first access, so the package never ships a word it could not
+reproduce.
 
 Each entry records the strictness level at which its defining relation
 is checked.  The chain words, the two literature words, and the fiber
@@ -101,16 +103,9 @@ _ENTRIES = (
 _BY_NAME = {e.name: e for e in _ENTRIES}
 
 
-def _data_path(name: str):
-    return resources.files("lefschetz").joinpath("data").joinpath(f"{name}.json")
-
-
 def _data_text(name: str) -> str:
-    return _data_path(name).read_text()
-
-
-def _has_data(name: str) -> bool:
-    return _data_path(name).is_file()
+    data = resources.files("lefschetz").joinpath("data")
+    return data.joinpath(f"{name}.json").read_text()
 
 
 def _derive_18_1() -> Factorization:
@@ -150,18 +145,12 @@ def entry(name: str) -> CatalogEntry:
 
 
 def names() -> tuple[str, ...]:
-    """Available entry names; an external entry whose data file is
-    missing is omitted rather than reported broken."""
-    out = []
-    for e in _ENTRIES:
-        if e.external_data and not _has_data(e.name):
-            continue
-        out.append(e.name)
-    return tuple(out)
+    """Every entry name, in catalog order."""
+    return tuple(e.name for e in _ENTRIES)
 
 
 def list_entries() -> tuple[CatalogEntry, ...]:
-    return tuple(_BY_NAME[n] for n in names())
+    return _ENTRIES
 
 
 def get(name: str) -> Union[Factorization, LanternInstance]:
@@ -172,8 +161,7 @@ def get(name: str) -> Union[Factorization, LanternInstance]:
     if e.derived:
         item: Union[Factorization, LanternInstance] = _RECIPES[name]()
     elif e.kind == "lantern":
-        boundary, interior = fileformat.parse_lantern(_data_text(name))
-        item = LanternInstance(boundary, interior)
+        item = standard_lantern()
     else:
         item = fileformat.parse_factorization(_data_text(name))
     _CACHE[name] = item
@@ -217,13 +205,3 @@ def verify(name: str) -> CatalogCheck:
         h1.free_rank == e.expected_b1 and h1.torsion == e.expected_torsion
     )
     return CatalogCheck(name, e.level, identity_ok, type_ok, homology_ok)
-
-
-def known_types() -> frozenset[tuple[int, int]]:
-    """The (n,s) types realized by words in the catalog."""
-    out = set()
-    for n in names():
-        e = _BY_NAME[n]
-        if e.kind == "factorization" and e.expected_type is not None:
-            out.add(e.expected_type)
-    return frozenset(out)

@@ -62,9 +62,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     f = _load(args.src)
     try:
-        report = invariants.invariant_report(
-            f, assume_section=not args.no_section
-        )
+        report = invariants.invariant_report(f)
     except ValueError as exc:
         print(exc)
         return 1
@@ -107,13 +105,10 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
 
 def _cmd_sub_lantern(args: argparse.Namespace) -> int:
     f = _load(args.src)
-    instance = catalog.get(args.instance)
-    if not isinstance(instance, monodromy.LanternInstance):
-        raise fileformat.ParseError(
-            f"catalog entry {args.instance!r} is not a lantern instance"
-        )
     try:
-        result = monodromy.lantern_substitute(f, args.at, instance)
+        result = monodromy.lantern_substitute(
+            f, args.at, monodromy.standard_lantern()
+        )
     except ValueError as exc:
         raise _CheckFailure(str(exc)) from exc
     _emit(result, args.output)
@@ -232,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="report total-space invariants")
     p.add_argument("src")
-    p.add_argument("--no-section", action="store_true")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("type", help="print the (n, s) twist count")
@@ -264,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = action.add_parser("lantern", help="trade a lantern window")
     q.add_argument("src")
     q.add_argument("--at", type=int, required=True)
-    q.add_argument("--instance", default="lantern-std")
     q.add_argument("-o", "--output")
     q.set_defaults(func=_cmd_sub_lantern)
     q = action.add_parser("chain", help="trade a two-chain window")

@@ -16,13 +16,15 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# Types whose explicit monodromies appear in the published literature,
-# within the window n <= 20, s <= 15.
+# Types whose explicit monodromies appear in the published literature:
+# every type in the window n <= 20, s <= 15 that has one, plus the chain
+# words (30, 0) and (40, 0) of the catalog.
 KNOWN_TYPES: frozenset[tuple[int, int]] = frozenset(
     {
         (4, 3), (6, 2), (8, 6), (10, 5), (10, 10), (12, 4), (12, 9),
         (14, 3), (14, 8), (14, 13), (16, 2), (16, 7), (16, 12), (18, 1),
         (18, 6), (18, 11), (20, 0), (20, 5), (20, 10), (20, 15),
+        (30, 0), (40, 0),
     }
 )
 
@@ -45,7 +47,7 @@ class NSReport:
         return self.mod10_ok and self.weight_ok and self.sharp_ok
 
 
-def admissible(n: int, s: int, known: Optional[set] = None) -> NSReport:
+def admissible(n: int, s: int) -> NSReport:
     """Evaluate the three lattice constraints at (n, s).
 
     mod10_ok: n + 12s is divisible by 10, which makes the fractional
@@ -74,8 +76,7 @@ def admissible(n: int, s: int, known: Optional[set] = None) -> NSReport:
     if not is_admissible:
         status = "inadmissible"
     else:
-        pool = KNOWN_TYPES if known is None else known
-        status = "known" if (n, s) in pool else "unknown"
+        status = "known" if (n, s) in KNOWN_TYPES else "unknown"
     return NSReport(n, s, mod10_ok, weight_ok, sharp_ok, b1_forced, b2, status)
 
 
@@ -141,19 +142,15 @@ def family_invariants(k: int) -> FamilyReport:
     if k < 2:
         raise ValueError("the family starts at k = 2")
     n, s = 2 * k, 4 * k - 5
-    assert 2 * n - s == 5
-    report = admissible(n, s)
-    if not report.admissible:
-        raise AssertionError(f"family member ({n}, {s}) failed admissibility")
     b1 = 2
     b2 = n + s - 2
-    plus = n - 3
-    minus = 2 * n - 4
+    plus = b2plus(n, s, b1)
     sigma = -(3 * n + s) // 5
     euler = n + s - 4
-    assert plus - minus == sigma and plus + minus == b2
-    assert plus == b2plus(n, s, b1)
-    return FamilyReport(k, n, s, b1, b2, plus, minus, sigma, euler, True)
+    indecomposable = indecomposability_check(n, s).certified
+    return FamilyReport(
+        k, n, s, b1, b2, plus, b2 - plus, sigma, euler, indecomposable
+    )
 
 
 @dataclass(frozen=True)
@@ -210,29 +207,19 @@ def indecomposability_check(n: int, s: int) -> IndecomposabilityReport:
     )
 
 
-def enumerate_types(
-    n_max: int, s_max: int, known: Optional[set] = None
-) -> list[NSReport]:
-    """All admissible lattice points in the window, with catalog status."""
+def enumerate_types(n_max: int, s_max: int) -> list[NSReport]:
+    """All admissible lattice points in the window, with known status."""
     if n_max > 100 or s_max > 100:
         raise ValueError("window bounds above 100 are not supported")
-    if known is None:
-        known = set(KNOWN_TYPES) | _catalog_types()
     out = []
     for n in range(n_max + 1):
         for s in range(s_max + 1):
             if n == 0 and s == 0:
                 continue
-            report = admissible(n, s, known=known)
+            report = admissible(n, s)
             if report.admissible:
                 out.append(report)
     return out
-
-
-def _catalog_types() -> set[tuple[int, int]]:
-    from . import catalog
-
-    return catalog.known_types()
 
 
 def emit_chart(

@@ -10,7 +10,9 @@ curve and "s1"/"S1" those about the standard separating curve).  The
 twist list is written in application order: the first record acts first.
 
 The serializer emits one twist record per line, so catalog data files
-diff cleanly, and parse(serialize(f)) returns f exactly.
+diff cleanly, and parse(serialize(f)) returns f exactly.  The format
+holds factorizations only; the registered lantern relation is defined
+in code, by ``monodromy.standard_lantern``.
 """
 
 from __future__ import annotations
@@ -115,44 +117,3 @@ def serialize_factorization(f: Factorization) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def parse_lantern(text: str) -> "tuple":
-    """Parse a lantern configuration: boundary and interior curve lists.
-
-    The document shares the twist-record grammar, with ``boundary`` and
-    ``interior`` lists in place of ``twists``.
-    """
-    doc = _load_document(text)
-    if not isinstance(doc, dict):
-        raise ParseError("document must be a JSON object")
-    genus = doc.get("genus")
-    if not isinstance(genus, int) or genus < 1:
-        raise ParseError("'genus' must be a positive integer")
-    out = []
-    for key, count in (("boundary", 4), ("interior", 3)):
-        records = doc.get(key)
-        if not isinstance(records, list) or len(records) != count:
-            raise ParseError(f"'{key}' must be a list of {count} twist records")
-        out.append(
-            tuple(_parse_twist(r, i, genus) for i, r in enumerate(records))
-        )
-    return tuple(out)
-
-
-def serialize_lantern(boundary, interior, genus: int = 2) -> str:
-    lines = [
-        "# lantern configuration: four boundary twists equal three interior",
-        "# twists; records use the factorization twist grammar",
-        "{",
-        f'"genus": {genus},',
-        '"boundary": [',
-    ]
-    for i, curve in enumerate(boundary):
-        lines.append(_twist_line(curve) + ("," if i + 1 < len(boundary) else ""))
-    lines.append("],")
-    lines.append('"interior": [')
-    for i, curve in enumerate(interior):
-        lines.append(_twist_line(curve) + ("," if i + 1 < len(interior) else ""))
-    lines.append("]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

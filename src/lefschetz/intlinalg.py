@@ -14,10 +14,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
@@ -155,7 +151,7 @@ def smith_normal_form(
             continue
         t += 1
     d = tuple(a[i][i] for i in range(min(nr, nc)))
-    return d, as_matrix(u), as_matrix(v)
+    return d, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ Euler characteristic comes from the handle decomposition, the signature
 from the hyperelliptic count of separating and nonseparating cycles
 (genus 2 over the sphere), and the homology of the total space from the
 cokernel of the vanishing-cycle class matrix.
+
+H1 and pi1 of the total space are computed as the fiber group modulo
+the vanishing cycles.  That quotient rests on the fibration having a
+section (Gompf-Stipsicz, *4-Manifolds and Kirby Calculus*, section 8.1),
+which every result here assumes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Optional
 
 from . import freegroup, monodromy
 from .intlinalg import AbelianGroup, quotient_by_rows, smith_normal_form
-from .monodromy import Curve, Factorization
+from .monodromy import Factorization
 from .surface import standard_surface
 
 
@@ -45,7 +50,7 @@ def signature_g2(f: Factorization) -> int:
     return -(total // 5)
 
 
-def first_homology(f: Factorization, assume_section: bool = True) -> AbelianGroup:
+def first_homology(f: Factorization) -> AbelianGroup:
     """H1 of the total space: the fiber lattice modulo vanishing-cycle
     classes, plus a free summand for a positive-genus base."""
     rank = 2 * f.genus
@@ -56,7 +61,7 @@ def first_homology(f: Factorization, assume_section: bool = True) -> AbelianGrou
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Invariants of the closed total space, with recorded assumptions."""
+    """Invariants of the closed total space and the identity level checked."""
 
     euler: int
     signature: Optional[int]
@@ -64,7 +69,6 @@ class InvariantReport:
     betti: tuple[int, int, int, int, int]
     b2_plus: Optional[int]
     b2_minus: Optional[int]
-    section_assumed: bool
     identity_level: str
     warnings: tuple[str, ...] = ()
 
@@ -79,15 +83,10 @@ class InvariantReport:
         yield "b4", self.betti[4]
         yield "b2_plus", self.b2_plus
         yield "b2_minus", self.b2_minus
-        yield "section_assumed", self.section_assumed
         yield "identity_level", self.identity_level
 
 
-def invariant_report(
-    f: Factorization,
-    assume_section: bool = True,
-    level: str = "homology",
-) -> InvariantReport:
+def invariant_report(f: Factorization, level: str = "homology") -> InvariantReport:
     """Full invariant report; requires the factorization to pass an
     identity check at the requested level first."""
     check = monodromy.identity_check(f, level)
@@ -97,7 +96,7 @@ def invariant_report(
             "invariants of a closed total space are undefined"
         )
     euler = euler_characteristic(f)
-    h1 = first_homology(f, assume_section)
+    h1 = first_homology(f)
     b1 = h1.free_rank
     b2 = euler - 2 + 2 * b1
     betti = (1, b1, b2, b1, 1)
@@ -120,7 +119,6 @@ def invariant_report(
         betti=betti,
         b2_plus=b2_plus,
         b2_minus=b2_minus,
-        section_assumed=assume_section,
         identity_level=level,
         warnings=tuple(warnings),
     )
@@ -132,15 +130,10 @@ class Presentation:
 
     generators: tuple[str, ...]
     relators: tuple[freegroup.Word, ...]
-    section_assumed: bool
     over_disk: bool
 
 
-def pi1_presentation(
-    f: Factorization,
-    assume_section: bool = True,
-    over_disk: bool = False,
-) -> Presentation:
+def pi1_presentation(f: Factorization, over_disk: bool = False) -> Presentation:
     """Presentation of pi1: surface generators modulo the cycle words.
 
     Over the disk the surface relator is omitted; over the sphere it is
@@ -166,8 +159,8 @@ def pi1_presentation(
                 )
             relators.append(surf.word_of(curve.base))
     if not over_disk:
-        relators.append(surf.boundary_word)
-    return Presentation(tuple(names), tuple(relators), assume_section, over_disk)
+        relators.append(freegroup.boundary_word(f.genus))
+    return Presentation(tuple(names), tuple(relators), over_disk)
 
 
 def presentation_h1(p: Presentation) -> AbelianGroup:

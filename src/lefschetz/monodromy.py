@@ -14,7 +14,7 @@ twist(t1) o twist(t2).  Global conjugation therefore prefixes tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import freegroup
@@ -155,11 +155,6 @@ def curve_twist_endo(curve: Curve, sign: int = 1) -> Endo:
     return freegroup.compose(psi, freegroup.compose(core, psi_inv))
 
 
-def curves_equal(a: Curve, b: Curve, genus: int) -> bool:
-    """Structural equality after conjugator free-reduction."""
-    return a.reduced() == b.reduced()
-
-
 def ns_type(f: Factorization) -> tuple[int, int]:
     """Counts of (nonseparating, separating) vanishing cycles."""
     s = sum(1 for c in f.cycles if is_separating(c, f.genus))
@@ -277,7 +272,6 @@ class LanternInstance:
 
     def verify(self, genus: int = 2) -> bool:
         """Homology-level relation plus the intersection pattern."""
-        surf = standard_surface(genus)
         lhs = evaluate(Factorization(genus, self.boundary))
         rhs = evaluate(Factorization(genus, self.interior))
         if lhs != rhs:
@@ -285,7 +279,7 @@ class LanternInstance:
         classes = [curve_class(c, genus) for c in self.boundary + self.interior]
         for i in range(len(classes)):
             for j in range(i + 1, len(classes)):
-                if surf.pairing(classes[i], classes[j]) != 0:
+                if algebraic_intersection(classes[i], classes[j]) != 0:
                     return False
         seps = [is_separating(c, genus) for c in self.interior]
         return sum(seps) == 1 and not any(
@@ -317,7 +311,7 @@ def lantern_substitute(
         raise IndexError(f"no four consecutive cycles at position {at}")
     window = f.cycles[at : at + 4]
     for have, want in zip(window, instance.boundary):
-        if not curves_equal(have, want, f.genus):
+        if have.reduced() != want.reduced():
             raise ValueError(
                 f"cycle {have.base!r} at the substitution site does not match "
                 f"the registered boundary curve {want.base!r}"

@@ -50,10 +50,6 @@ class Surface:
     def labels(self) -> tuple[str, ...]:
         return self.chain_labels + self.separating_labels
 
-    @property
-    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return intersection_matrix(self.genus)
-
     def class_of(self, label: str) -> tuple[int, ...]:
         return self.curve_classes[label]
 
@@ -64,18 +60,6 @@ class Surface:
                 "for genus <= 2"
             )
         return self.curve_words[label]
-
-    def is_separating(self, label: str) -> bool:
-        if label not in self.curve_classes:
-            raise KeyError(label)
-        return label.startswith("s")
-
-    def pairing(self, u, v) -> int:
-        return algebraic_intersection(u, v)
-
-    @property
-    def boundary_word(self) -> Word:
-        return freegroup.boundary_word(self.genus)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ from itertools import product
 from math import prod
 
 from . import intlinalg
-from .intlinalg import Matrix, Vector, mat_mul, mat_vec
-from .surface import algebraic_intersection, intersection_matrix
+from .intlinalg import Matrix, mat_mul, mat_vec
+from .surface import intersection_matrix
 
 
 def transvection(c: Sequence[int], power: int = 1) -> Matrix:

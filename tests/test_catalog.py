@@ -1,6 +1,7 @@
 import pytest
 
 from lefschetz import catalog
+from lefschetz.feasibility import KNOWN_TYPES
 from lefschetz.monodromy import Factorization, LanternInstance, ns_type
 
 
@@ -52,7 +53,8 @@ def test_derived_entries_rebuild_deterministically():
 
 
 def test_known_types_cover_the_catalog():
-    types = catalog.known_types()
-    assert (4, 3) in types
-    assert (20, 0) in types
-    assert (6, 7) not in types
+    types = {
+        e.expected_type for e in catalog.list_entries()
+        if e.kind == "factorization"
+    }
+    assert types <= KNOWN_TYPES

@@ -6,8 +6,9 @@ import textwrap
 import pytest
 
 import lefschetz
-from lefschetz import symplectic
+from lefschetz import catalog, symplectic
 from lefschetz.cli import main
+from lefschetz.fileformat import serialize_factorization
 
 
 def test_check_catalog_entry_exact(capsys):
@@ -51,6 +52,23 @@ def test_invariants_reports_b1(capsys):
     assert "signature: -4" in out
 
 
+def test_invariants_golden_output(capsys):
+    assert main(["invariants", "catalog:matsumoto-62"]) == 0
+    assert capsys.readouterr().out == (
+        "euler: 4\n"
+        "signature: -4\n"
+        "h1: Z + Z\n"
+        "b0: 1\n"
+        "b1: 2\n"
+        "b2: 6\n"
+        "b3: 2\n"
+        "b4: 1\n"
+        "b2_plus: 1\n"
+        "b2_minus: 5\n"
+        "identity_level: homology\n"
+    )
+
+
 def test_type_output(capsys):
     assert main(["type", "catalog:baykur-korkmaz-43"]) == 0
     assert capsys.readouterr().out == "(4, 3)\n"
@@ -87,6 +105,21 @@ def test_sub_chain_expand_then_contract(tmp_path, capsys):
                  "--at", "3", "--dir", "contract", "-o", str(back)]) == 0
     assert main(["type", str(back)]) == 0
     assert capsys.readouterr().out == "(6, 2)\n"
+
+
+def test_sub_lantern_builds_lantern_18_1(tmp_path, capsys):
+    word = "catalog:hyperelliptic-sq"
+    for step, i in enumerate((5, 4, 6, 5, 7, 6)):
+        moved = tmp_path / f"moved-{step}.txt"
+        assert main(["hurwitz", word, "--index", str(i), "--dir", "left",
+                     "-o", str(moved)]) == 0
+        word = str(moved)
+    out = tmp_path / "lantern.txt"
+    assert main(["sub", "lantern", word, "--at", "7", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    expected = serialize_factorization(
+        catalog.get_factorization("lantern-18-1"))
+    assert out.read_text() == expected
 
 
 def test_sub_lantern_mismatch_exits_one(capsys):

@@ -88,6 +88,13 @@ def test_enumerate_types_window():
         enumerate_types(500, 15)
 
 
+def test_admissible_status_matches_the_chart():
+    for r in enumerate_types(40, 15):
+        assert admissible(r.n, r.s).status == r.status, (r.n, r.s)
+    assert admissible(30, 0).status == "known"
+    assert admissible(40, 0).status == "known"
+
+
 def test_emit_chart_csv_and_svg():
     reports = enumerate_types(8, 8)
     csv = emit_chart(reports, "csv")

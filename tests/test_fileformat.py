@@ -4,11 +4,9 @@ from lefschetz.catalog import get_factorization
 from lefschetz.fileformat import (
     ParseError,
     parse_factorization,
-    parse_lantern,
     serialize_factorization,
-    serialize_lantern,
 )
-from lefschetz.monodromy import Curve, Factorization, standard_lantern
+from lefschetz.monodromy import Curve, Factorization
 
 
 def test_round_trip_plain_word():
@@ -53,18 +51,3 @@ def test_parse_errors_carry_positions():
             '{"genus": 2, "base_genus": 0, "twists": [{"base": "c9", "conj": []}]}'
         )
 
-
-def test_lantern_round_trip():
-    instance = standard_lantern()
-    text = serialize_lantern(instance.boundary, instance.interior)
-    boundary, interior = parse_lantern(text)
-    assert boundary == instance.boundary
-    assert interior == instance.interior
-
-
-def test_lantern_parse_rejects_wrong_counts():
-    instance = standard_lantern()
-    text = serialize_lantern(instance.boundary, instance.interior)
-    broken = text.replace('"interior"', '"inner"')
-    with pytest.raises(ParseError):
-        parse_lantern(broken)

@@ -11,7 +11,6 @@ from lefschetz.monodromy import (
     classify_curve,
     composite_endo,
     curve_class,
-    curves_equal,
     evaluate,
     fiber_sum,
     global_conjugate,
@@ -59,8 +58,19 @@ def test_separating_classification():
 
 def test_curves_equal_reduces_conjugators():
     a = Curve("c2", (("c1", 1), ("c1", -1)))
-    assert curves_equal(a, Curve("c2"), 2)
-    assert not curves_equal(Curve("c1"), Curve("c2"), 2)
+    assert a.reduced() == Curve("c2")
+    assert Curve("c1").reduced() != Curve("c2").reduced()
+    # the lantern window is matched after conjugator reduction
+    lantern = standard_lantern()
+    padded = Curve("c1", (("c2", 1), ("c2", -1)))
+    window = (padded,) + lantern.boundary[1:]
+    out = lantern_substitute(Factorization(2, window, 0), 0, lantern)
+    assert out.cycles == lantern.interior
+    with pytest.raises(ValueError):
+        lantern_substitute(
+            Factorization(2, (Curve("c1", (("c2", 1),)),) + window[1:], 0),
+            0, lantern,
+        )
 
 
 def test_ns_type_counts_cycles():
