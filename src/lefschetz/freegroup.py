@@ -11,10 +11,10 @@ commutators ``a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1``.  Every twist
 recorded below fixes that boundary word exactly, which is what makes the
 tables usable for cut-open surface computations.
 
-An endomorphism is stored by its generator images: a tuple of words,
-entry ``i - 1`` holding the image of generator ``i``.  Everything here is
-in fact an automorphism (twists along simple closed curves and their
-compositions), but only :func:`is_inner` relies on that.
+An endomorphism is stored by its generator images: a tuple of freely
+reduced words, entry ``i - 1`` holding the image of generator ``i``.
+Everything here is in fact an automorphism (twists along simple closed
+curves and their compositions), but only :func:`is_inner` relies on that.
 """
 
 from __future__ import annotations
@@ -118,20 +118,27 @@ def identity_endo(rank: int) -> Endo:
 
 
 def apply_endo(images: Endo, word: Sequence[int]) -> Word:
-    out: list[int] = []
-    for x in word:
-        piece = images[x - 1] if x > 0 else inverse(images[-x - 1])
-        for y in piece:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return compose(images, (word,))[0]
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
-    """Images of ``outer . inner`` (inner applied first)."""
-    return tuple(apply_endo(outer, im) for im in inner)
+    """Images of ``outer . inner`` (inner applied first).  Inverse images are
+    computed once; a reduced piece cancels only where it is glued on."""
+    inverses: dict[int, Word] = {}
+    images = []
+    for word in inner:
+        out: list[int] = []
+        for x in word:
+            piece = outer[x - 1] if x > 0 else inverses.get(x)
+            if piece is None:
+                piece = inverses[x] = inverse(outer[-x - 1])
+            k = 0
+            while k < len(piece) and out and out[-1] == -piece[k]:
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+        images.append(tuple(out))
+    return tuple(images)
 
 
 def is_identity(images: Endo) -> bool:

@@ -10,11 +10,14 @@ of Dehn twists.
 Conjugator token lists are written outermost first: a curve with
 conjugator [t1, t2] is the image of its base curve under the composite
 twist(t1) o twist(t2).  Global conjugation therefore prefixes tokens.
+A twist is the token word ``conj . base . conj^-1``, so the exact composite
+of a factorization is one token word, reduced once and then evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from . import freegroup
@@ -59,10 +62,6 @@ def reduce_tokens(tokens: Iterable[Token]) -> tuple[Token, ...]:
         else:
             out.append(tok)
     return tuple(out)
-
-
-def inverse_tokens(tokens: Iterable[Token]) -> tuple[Token, ...]:
-    return tuple((label, -sign) for label, sign in reversed(tuple(tokens)))
 
 
 @dataclass(frozen=True)
@@ -142,17 +141,19 @@ def curve_word(curve: Curve, genus: int) -> Word:
     """Free-group representative of the curve; genus 2 only."""
     if genus != 2:
         raise ValueError("free-group curve words are available only at genus 2")
-    surf = standard_surface(genus)
     endo = conjugator_endo(curve.conj)
-    return freegroup.apply_endo(endo, surf.word_of(curve.base))
+    return freegroup.apply_endo(endo, standard_surface(2).word_of(curve.base))
+
+
+def twist_tokens(curve: Curve, sign: int = 1) -> tuple[Token, ...]:
+    """The twist about a curve as the token word conj . base^sign . conj^-1."""
+    inverse = tuple((label, -s) for label, s in reversed(curve.conj))
+    return curve.conj + ((curve.base, sign),) + inverse
 
 
 def curve_twist_endo(curve: Curve, sign: int = 1) -> Endo:
     """The twist about a conjugated curve, as a free-group automorphism."""
-    psi = conjugator_endo(curve.conj)
-    psi_inv = conjugator_endo(inverse_tokens(curve.conj))
-    core = freegroup.twist_endo(curve.base, sign)
-    return freegroup.compose(psi, freegroup.compose(core, psi_inv))
+    return conjugator_endo(reduce_tokens(twist_tokens(curve, sign)))
 
 
 def ns_type(f: Factorization) -> tuple[int, int]:
@@ -168,17 +169,13 @@ def evaluate(f: Factorization):
 
 
 def composite_endo(f: Factorization) -> Endo:
-    """Composite free-group automorphism of the whole word (genus 2).  The
-    twist about each distinct curve is built once per call."""
+    """Composite free-group automorphism T(c_N) o ... o T(c_1) of the whole
+    word (genus 2), evaluated as one reduced token word, last cycle first,
+    so conjugators that neighbouring cycles share are never applied."""
     if f.genus != 2:
         raise ValueError("exact composites are available only at genus 2")
-    twists: dict[Curve, Endo] = {}
-    acc = freegroup.identity_endo(4)
-    for curve in f.cycles:
-        if curve not in twists:
-            twists[curve] = curve_twist_endo(curve)
-        acc = freegroup.compose(twists[curve], acc)
-    return acc
+    tokens = (t for curve in reversed(f.cycles) for t in twist_tokens(curve))
+    return conjugator_endo(reduce_tokens(tokens))
 
 
 @dataclass(frozen=True)
@@ -219,10 +216,10 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         raise IndexError(f"no adjacent pair at position {i}")
     x, y = f.cycles[i], f.cycles[i + 1]
     if direction == "right":
-        moved_conj = y.conj + ((y.base, 1),) + inverse_tokens(y.conj) + x.conj
+        moved_conj = twist_tokens(y) + x.conj
         new_pair = (y, Curve(x.base, reduce_tokens(moved_conj)))
     elif direction == "left":
-        moved_conj = x.conj + ((x.base, -1),) + inverse_tokens(x.conj) + y.conj
+        moved_conj = twist_tokens(x, -1) + y.conj
         new_pair = (Curve(y.base, reduce_tokens(moved_conj)), x)
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -270,21 +267,16 @@ class LanternInstance:
     boundary: tuple[Curve, Curve, Curve, Curve]
     interior: tuple[Curve, Curve, Curve]
 
-    def verify(self, genus: int = 2) -> bool:
-        """Homology-level relation plus the intersection pattern."""
-        lhs = evaluate(Factorization(genus, self.boundary))
-        rhs = evaluate(Factorization(genus, self.interior))
-        if lhs != rhs:
+    def verify(self) -> bool:
+        """Homology-level relation plus the intersection pattern (genus 2)."""
+        lhs = evaluate(Factorization(2, self.boundary))
+        rhs = evaluate(Factorization(2, self.interior))
+        classes = [curve_class(c, 2) for c in self.boundary + self.interior]
+        pairs = combinations(classes, 2)
+        if lhs != rhs or any(algebraic_intersection(u, v) for u, v in pairs):
             return False
-        classes = [curve_class(c, genus) for c in self.boundary + self.interior]
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                if algebraic_intersection(classes[i], classes[j]) != 0:
-                    return False
-        seps = [is_separating(c, genus) for c in self.interior]
-        return sum(seps) == 1 and not any(
-            is_separating(c, genus) for c in self.boundary
-        )
+        return (sum(is_separating(c, 2) for c in self.interior) == 1
+                and not any(is_separating(c, 2) for c in self.boundary))
 
 
 def standard_lantern() -> LanternInstance:

@@ -11,6 +11,7 @@ from lefschetz.monodromy import (
     classify_curve,
     composite_endo,
     curve_class,
+    curve_twist_endo,
     evaluate,
     fiber_sum,
     global_conjugate,
@@ -24,6 +25,7 @@ from lefschetz.monodromy import (
     standard_lantern,
     token_string,
 )
+from lefschetz import catalog
 from lefschetz.catalog import get_factorization
 
 
@@ -197,6 +199,29 @@ def test_composite_endo_matches_twist_composition():
     f = Factorization(2, (Curve("c1"), Curve("c2")), 0)
     direct = fg.compose(fg.twist_endo("c2"), fg.twist_endo("c1"))
     assert composite_endo(f) == direct
+
+
+def test_twist_about_unreduced_conjugate_inverts():
+    curve = Curve("c3", (("c1", 1), ("c2", -1), ("c2", 1), ("s1", 1)))
+    identity = fg.identity_endo(4)
+    assert fg.compose(curve_twist_endo(curve, -1),
+                      curve_twist_endo(curve, 1)) == identity
+    assert fg.compose(curve_twist_endo(curve, 1),
+                      curve_twist_endo(curve, -1)) == identity
+    assert curve_twist_endo(curve) == curve_twist_endo(curve.reduced())
+
+
+def test_composite_endo_matches_reference_fold_on_the_catalog():
+    # the reference fold lives with the property tests, which need hypothesis
+    from test_properties import reference_composite
+
+    entries = [catalog.get(name) for name in catalog.names()]
+    words = [f for f in entries if isinstance(f, Factorization) and f.genus == 2]
+    assert len(words) == 9
+    for f in words:
+        assert composite_endo(f) == reference_composite(f)
+    longest = composite_endo(catalog.get("lantern-16-2"))
+    assert sum(len(im) for im in longest) == 22338
 
 
 def test_factorization_validates_genus():

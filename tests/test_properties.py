@@ -14,6 +14,8 @@ from lefschetz.monodromy import (
     composite_endo,
     curve_class,
     curve_twist_endo,
+    global_conjugate,
+    hurwitz_move,
 )
 from lefschetz.surface import standard_surface
 from lefschetz.symplectic import evaluate_classes, transvection
@@ -126,13 +128,101 @@ def test_evaluate_classes_matches_matrix_fold(rank_classes):
     assert evaluate_classes(classes, rank) == total
 
 
+def plain_compose(outer, inner):
+    """Reference: substitute the images letter by letter, then reduce."""
+    def image(x):
+        return outer[x - 1] if x > 0 else fg.inverse(outer[-x - 1])
+    return tuple(fg.free_reduce([y for x in im for y in image(x)])
+                 for im in inner)
+
+
+def reference_twist(curve, sign=1):
+    """Reference: the twist as ``psi . core . psi^-1``, where ``psi`` is the
+    conjugator's automorphism, folded token by token."""
+    psi = psi_inv = fg.identity_endo(RANK)
+    for label, s in curve.conj:
+        psi = plain_compose(psi, fg.twist_endo(label, s))
+    for label, s in reversed(curve.conj):
+        psi_inv = plain_compose(psi_inv, fg.twist_endo(label, -s))
+    return plain_compose(psi, plain_compose(fg.twist_endo(curve.base, sign),
+                                            psi_inv))
+
+
+def reference_composite(f):
+    """Reference: fold the per-curve twists, first cycle innermost, with
+    the twist about each distinct curve built once."""
+    twists = {}
+    acc = fg.identity_endo(RANK)
+    for curve in f.cycles:
+        if curve not in twists:
+            twists[curve] = reference_twist(curve)
+        acc = plain_compose(twists[curve], acc)
+    return acc
+
+
+@st.composite
+def padded_curves(draw, max_conj=3):
+    """A genus-2 curve whose conjugator has a cancelling token pair
+    inserted, so it is not reduced."""
+    curve = draw(curves(2, max_conj=max_conj))
+    label, sign = draw(tokens)
+    at = draw(st.integers(0, len(curve.conj)))
+    conj = curve.conj[:at] + ((label, sign), (label, -sign)) + curve.conj[at:]
+    return Curve(curve.base, conj)
+
+
+genus2_curves = curves(2, max_conj=3) | padded_curves()
+hurwitz_moves = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from(("left", "right"))),
+    max_size=6,
+)
+
+
+def moved(f, moves, prefix):
+    """Apply the Hurwitz moves (positions taken modulo the length), then
+    conjugate globally by ``prefix``."""
+    for i, direction in moves:
+        f = hurwitz_move(f, i % (len(f.cycles) - 1), direction)
+    return global_conjugate(f, prefix)
+
+
 @given(
-    st.lists(curves(2, max_conj=3), min_size=1, max_size=3),
+    st.lists(genus2_curves, min_size=1, max_size=3),
     st.lists(st.integers(0, 2), min_size=4, max_size=8),
 )
 def test_composite_endo_matches_fold_with_repeated_curves(pool, picks):
-    cycles = tuple(pool[i % len(pool)] for i in picks)
-    acc = fg.identity_endo(RANK)
-    for curve in cycles:
-        acc = fg.compose(curve_twist_endo(curve), acc)
-    assert composite_endo(Factorization(2, cycles)) == acc
+    f = Factorization(2, tuple(pool[i % len(pool)] for i in picks))
+    assert composite_endo(f) == reference_composite(f)
+
+
+@given(
+    st.lists(genus2_curves, min_size=2, max_size=5),
+    hurwitz_moves,
+    st.lists(tokens, max_size=3),
+)
+def test_composite_endo_matches_fold_on_moved_words(cycles, moves, prefix):
+    f = moved(Factorization(2, tuple(cycles)), moves, prefix)
+    assert composite_endo(f) == reference_composite(f)
+
+
+@given(st.lists(genus2_curves, min_size=2, max_size=5), st.integers(0, 3),
+       st.sampled_from(("left", "right")))
+def test_composite_endo_is_hurwitz_invariant(cycles, i, direction):
+    f = Factorization(2, tuple(cycles))
+    g = hurwitz_move(f, i % (len(cycles) - 1), direction)
+    assert composite_endo(g) == composite_endo(f)
+
+
+@given(genus2_curves, st.sampled_from((1, -1)))
+def test_curve_twist_endo_matches_reference(curve, sign):
+    assert curve_twist_endo(curve, sign) == reference_twist(curve, sign)
+
+
+@given(st.lists(tokens, max_size=6), st.lists(tokens, max_size=6),
+       st.lists(st.sampled_from(LETTERS), max_size=12))
+def test_compose_matches_plain_substitution(outer, inner, word):
+    a = reference_twist(Curve("c1", tuple(outer)))
+    b = reference_twist(Curve("c2", tuple(inner)))
+    assert fg.compose(a, b) == plain_compose(a, b)
+    # the word need not be reduced; the images are
+    assert fg.apply_endo(a, word) == plain_compose(a, (tuple(word),))[0]
