@@ -161,10 +161,10 @@ def reference_composite(f):
 
 
 @st.composite
-def padded_curves(draw, max_conj=3):
+def padded_curves(draw):
     """A genus-2 curve whose conjugator has a cancelling token pair
     inserted, so it is not reduced."""
-    curve = draw(curves(2, max_conj=max_conj))
+    curve = draw(curves(2, max_conj=3))
     label, sign = draw(tokens)
     at = draw(st.integers(0, len(curve.conj)))
     conj = curve.conj[:at] + ((label, sign), (label, -sign)) + curve.conj[at:]
@@ -176,14 +176,6 @@ hurwitz_moves = st.lists(
     st.tuples(st.integers(0, 5), st.sampled_from(("left", "right"))),
     max_size=6,
 )
-
-
-def moved(f, moves, prefix):
-    """Apply the Hurwitz moves (positions taken modulo the length), then
-    conjugate globally by ``prefix``."""
-    for i, direction in moves:
-        f = hurwitz_move(f, i % (len(f.cycles) - 1), direction)
-    return global_conjugate(f, prefix)
 
 
 @given(
@@ -201,7 +193,10 @@ def test_composite_endo_matches_fold_with_repeated_curves(pool, picks):
     st.lists(tokens, max_size=3),
 )
 def test_composite_endo_matches_fold_on_moved_words(cycles, moves, prefix):
-    f = moved(Factorization(2, tuple(cycles)), moves, prefix)
+    f = Factorization(2, tuple(cycles))
+    for i, direction in moves:
+        f = hurwitz_move(f, i % (len(cycles) - 1), direction)
+    f = global_conjugate(f, prefix)
     assert composite_endo(f) == reference_composite(f)
 
 
