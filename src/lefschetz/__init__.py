@@ -26,7 +26,6 @@ from .monodromy import (
     IdentityReport,
     LanternInstance,
     chain_substitute,
-    classify_curve,
     curve_class,
     evaluate,
     fiber_sum,
@@ -104,7 +103,6 @@ __all__ = [
     "boundary_word",
     "catalog",
     "chain_substitute",
-    "classify_curve",
     "compose",
     "curve_class",
     "emit_chart",

@@ -47,9 +47,13 @@ class CatalogEntry:
     expected_b1: Optional[int]
     level: str
     external_data: bool = False
-    derived: bool = False
     expected_torsion: tuple[int, ...] = ()
     summary: str = ""
+
+    @property
+    def derived(self) -> bool:
+        """Whether the entry is rebuilt from a recipe on first access."""
+        return self.name in _RECIPES
 
 
 _ENTRIES = (
@@ -85,17 +89,15 @@ _ENTRIES = (
     ),
     CatalogEntry(
         "lantern-18-1", "factorization", (18, 1), 0, "homology",
-        derived=True,
         summary="lantern substitution applied to hyperelliptic-sq",
     ),
     CatalogEntry(
         "lantern-16-2", "factorization", (16, 2), 0, "homology",
-        derived=True, expected_torsion=(2,),
+        expected_torsion=(2,),
         summary="second lantern substitution on the (18,1) word",
     ),
     CatalogEntry(
         "fibersum-12-4", "factorization", (12, 4), 2, "exact",
-        derived=True,
         summary="untwisted fiber sum of two copies of matsumoto-62",
     ),
 )
@@ -112,14 +114,14 @@ def _derive_18_1() -> Factorization:
     f = get("hyperelliptic-sq")
     for i in (5, 4, 6, 5, 7, 6):
         f = hurwitz_move(f, i, "left")
-    return lantern_substitute(f, 7, standard_lantern())
+    return lantern_substitute(f, 7)
 
 
 def _derive_16_2() -> Factorization:
     f = rotate(_derive_18_1(), 13)
     for i in (1, 0, 2, 1, 3, 2):
         f = hurwitz_move(f, i, "left")
-    return lantern_substitute(f, 3, standard_lantern())
+    return lantern_substitute(f, 3)
 
 
 def _derive_12_4() -> Factorization:

@@ -18,10 +18,6 @@ from . import catalog, feasibility, fileformat, invariants, monodromy, symplecti
 _LEVELS = ("homology", "exact")
 
 
-class _CheckFailure(Exception):
-    """A well-formed request whose mathematical check did not pass."""
-
-
 def _load(src: str) -> monodromy.Factorization:
     if src.startswith("catalog:"):
         return catalog.get_factorization(src[len("catalog:"):])
@@ -29,8 +25,8 @@ def _load(src: str) -> monodromy.Factorization:
         return fileformat.parse_factorization(fh.read())
 
 
-def _emit(f: monodromy.Factorization, path: Optional[str]) -> None:
-    text = fileformat.serialize_factorization(f)
+def _write(text: str, path: Optional[str]) -> None:
+    """Write command output to ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -40,22 +36,15 @@ def _emit(f: monodromy.Factorization, path: Optional[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     f = _load(args.src)
-    if args.level is not None:
-        if monodromy.identity_check(f, args.level):
-            print(f"identity: {args.level}")
-            return 0
-        print(f"identity check failed at level {args.level}")
-        return 1
-    best = None
-    for level in _LEVELS:
-        if monodromy.identity_check(f, level):
-            best = level
-        else:
+    passed = None
+    for level in (args.level,) if args.level else _LEVELS:
+        if not monodromy.identity_check(f, level):
+            if passed is None:
+                print(f"identity check failed at level {level}")
+                return 1
             break
-    if best is None:
-        print("identity check failed at level homology")
-        return 1
-    print(f"identity: {best}")
+        passed = level
+    print(f"identity: {passed}")
     return 0
 
 
@@ -80,8 +69,8 @@ def _cmd_type(args: argparse.Namespace) -> int:
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
-    f = _load(args.src)
-    _emit(monodromy.hurwitz_move(f, args.index, args.dir), args.output)
+    f = monodromy.hurwitz_move(_load(args.src), args.index, args.dir)
+    _write(fileformat.serialize_factorization(f), args.output)
     return 0
 
 
@@ -92,26 +81,25 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
         for part in args.word.split(",")
         if part
     )
-    _emit(monodromy.global_conjugate(f, tokens), args.output)
+    f = monodromy.global_conjugate(f, tokens)
+    _write(fileformat.serialize_factorization(f), args.output)
     return 0
 
 
 def _cmd_fibersum(args: argparse.Namespace) -> int:
-    f1 = _load(args.src1)
-    f2 = _load(args.src2)
-    _emit(monodromy.fiber_sum(f1, f2), args.output)
+    f = monodromy.fiber_sum(_load(args.src1), _load(args.src2))
+    _write(fileformat.serialize_factorization(f), args.output)
     return 0
 
 
 def _cmd_sub_lantern(args: argparse.Namespace) -> int:
     f = _load(args.src)
     try:
-        result = monodromy.lantern_substitute(
-            f, args.at, monodromy.standard_lantern()
-        )
+        result = monodromy.lantern_substitute(f, args.at)
     except ValueError as exc:
-        raise _CheckFailure(str(exc)) from exc
-    _emit(result, args.output)
+        print(exc, file=sys.stderr)
+        return 1
+    _write(fileformat.serialize_factorization(result), args.output)
     return 0
 
 
@@ -120,8 +108,9 @@ def _cmd_sub_chain(args: argparse.Namespace) -> int:
     try:
         result = monodromy.chain_substitute(f, args.at, args.dir)
     except ValueError as exc:
-        raise _CheckFailure(str(exc)) from exc
-    _emit(result, args.output)
+        print(exc, file=sys.stderr)
+        return 1
+    _write(fileformat.serialize_factorization(result), args.output)
     return 0
 
 
@@ -145,9 +134,7 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     reports = feasibility.enumerate_types(args.n_max, args.s_max)
-    text = feasibility.emit_chart(reports, args.format, args.output)
-    if args.output is None:
-        sys.stdout.write(text)
+    _write(feasibility.emit_chart(reports, args.format), args.output)
     return 0
 
 
@@ -308,9 +295,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CheckFailure as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (fileformat.ParseError, FileNotFoundError, IsADirectoryError,
             KeyError, TypeError, IndexError, ValueError, OverflowError,
             MemoryError, RecursionError) as exc:

@@ -222,10 +222,9 @@ def enumerate_types(n_max: int, s_max: int) -> list[NSReport]:
     return out
 
 
-def emit_chart(
-    reports: Iterable[NSReport], format: str = "csv", path: Optional[str] = None
-) -> str:
-    """Serialize feasibility reports as CSV rows or an SVG scatter.
+def emit_chart(reports: Iterable[NSReport], format: str = "csv") -> str:
+    """Serialize feasibility reports as CSV rows or an SVG scatter and
+    return the text; writing it anywhere is the caller's job.
 
     The SVG draws both reference lines 2n - s = 3 and 2n - s = 5, filled
     markers for types with known monodromies, and open markers for
@@ -233,15 +232,10 @@ def emit_chart(
     """
     reports = sorted(reports, key=lambda r: (r.n, r.s))
     if format == "csv":
-        text = _emit_csv(reports)
-    elif format == "svg":
-        text = _emit_svg(reports)
-    else:
-        raise ValueError(f"unknown chart format {format!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return _emit_csv(reports)
+    if format == "svg":
+        return _emit_svg(reports)
+    raise ValueError(f"unknown chart format {format!r}")
 
 
 def _emit_csv(reports: list[NSReport]) -> str:

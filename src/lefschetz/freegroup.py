@@ -56,11 +56,6 @@ def conjugate(word: Sequence[int], by: Sequence[int]) -> Word:
     return concat(by, word, inverse(by))
 
 
-def commutator(u: Sequence[int], v: Sequence[int]) -> Word:
-    """Return ``u v u^-1 v^-1``."""
-    return concat(u, v, inverse(u), inverse(v))
-
-
 def cyclic_split(word: Sequence[int]) -> tuple[Word, Word]:
     """Split ``word`` as ``prefix . core . prefix^-1`` with ``core``
     cyclically reduced.  Returns ``(core, prefix)``."""

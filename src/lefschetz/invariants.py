@@ -9,7 +9,10 @@ cokernel of the vanishing-cycle class matrix.
 H1 and pi1 of the total space are computed as the fiber group modulo
 the vanishing cycles.  That quotient rests on the fibration having a
 section (Gompf-Stipsicz, *4-Manifolds and Kirby Calculus*, section 8.1),
-which every result here assumes.
+which every result here assumes.  The pi1 presentation is that of the
+closed total space of a genus-2 fibration over the sphere, and the full
+invariant report is computed only for words that pass the homology
+identity check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Optional
 from . import freegroup, monodromy
 from .intlinalg import AbelianGroup, quotient_by_rows, smith_normal_form
 from .monodromy import Factorization
-from .surface import standard_surface
 
 
 def euler_characteristic(f: Factorization) -> int:
@@ -86,13 +88,12 @@ class InvariantReport:
         yield "identity_level", self.identity_level
 
 
-def invariant_report(f: Factorization, level: str = "homology") -> InvariantReport:
-    """Full invariant report; requires the factorization to pass an
-    identity check at the requested level first."""
-    check = monodromy.identity_check(f, level)
-    if not check.passed:
+def invariant_report(f: Factorization) -> InvariantReport:
+    """Full invariant report; requires the factorization to pass the
+    homology identity check first."""
+    if not monodromy.identity_check(f, "homology").passed:
         raise ValueError(
-            f"factorization is not an identity word at the {level} level; "
+            "factorization is not an identity word at the homology level; "
             "invariants of a closed total space are undefined"
         )
     euler = euler_characteristic(f)
@@ -119,7 +120,7 @@ def invariant_report(f: Factorization, level: str = "homology") -> InvariantRepo
         betti=betti,
         b2_plus=b2_plus,
         b2_minus=b2_minus,
-        identity_level=level,
+        identity_level="homology",
         warnings=tuple(warnings),
     )
 
@@ -130,37 +131,20 @@ class Presentation:
 
     generators: tuple[str, ...]
     relators: tuple[freegroup.Word, ...]
-    over_disk: bool
 
 
-def pi1_presentation(f: Factorization, over_disk: bool = False) -> Presentation:
-    """Presentation of pi1: surface generators modulo the cycle words.
-
-    Over the disk the surface relator is omitted; over the sphere it is
-    included.  Needs free-group curve words, so the fiber genus is at
-    most 2, and conjugated curves need genus exactly 2.
+def pi1_presentation(f: Factorization) -> Presentation:
+    """Presentation of pi1 of the closed total space of a genus-2
+    fibration over the sphere: the surface generators a1, b1, a2, b2
+    modulo the cycle words, with the surface relator [a1,b1][a2,b2] last.
     """
-    if f.genus > 2:
-        raise ValueError("free-group presentations need fiber genus at most 2")
+    if f.genus != 2:
+        raise ValueError("free-group presentations need fiber genus 2")
     if f.base_genus != 0:
-        raise ValueError("presentations are implemented over disk and sphere bases")
-    surf = standard_surface(f.genus)
-    names = []
-    for i in range(1, f.genus + 1):
-        names.extend([f"a{i}", f"b{i}"])
-    relators = []
-    for curve in f.cycles:
-        if f.genus == 2:
-            relators.append(monodromy.curve_word(curve, f.genus))
-        else:
-            if curve.conj:
-                raise ValueError(
-                    "conjugated curves have free-group words only at genus 2"
-                )
-            relators.append(surf.word_of(curve.base))
-    if not over_disk:
-        relators.append(freegroup.boundary_word(f.genus))
-    return Presentation(tuple(names), tuple(relators), over_disk)
+        raise ValueError("presentations are implemented over the sphere only")
+    relators = [monodromy.curve_word(curve, 2) for curve in f.cycles]
+    relators.append(freegroup.boundary_word(2))
+    return Presentation(("a1", "b1", "a2", "b2"), tuple(relators))
 
 
 def presentation_h1(p: Presentation) -> AbelianGroup:

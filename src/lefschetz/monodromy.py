@@ -125,10 +125,6 @@ def is_separating(curve: Curve, genus: int) -> bool:
     return all(v == 0 for v in curve_class(curve, genus))
 
 
-def classify_curve(curve: Curve, genus: int) -> str:
-    return "separating" if is_separating(curve, genus) else "nonseparating"
-
-
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     """Free-group action of an outermost-first token word (genus 2 only)."""
     acc = freegroup.identity_endo(4)
@@ -294,13 +290,13 @@ def standard_lantern() -> LanternInstance:
     )
 
 
-def lantern_substitute(
-    f: Factorization, at: int, instance: LanternInstance
-) -> Factorization:
-    """Replace four consecutive boundary twists by the instance's three
-    interior twists; the homology image is checked unchanged."""
+def lantern_substitute(f: Factorization, at: int) -> Factorization:
+    """Replace four consecutive boundary twists of ``standard_lantern()``,
+    starting at position ``at``, by its three interior twists; the
+    homology image is checked unchanged."""
     if not 0 <= at <= len(f.cycles) - 4:
         raise IndexError(f"no four consecutive cycles at position {at}")
+    instance = standard_lantern()
     window = f.cycles[at : at + 4]
     for have, want in zip(window, instance.boundary):
         if have.reduced() != want.reduced():

@@ -10,12 +10,11 @@ chain degenerate to a single ``a``), even ones carry ``b_i``.  The curve
 ``s_h`` separates the first h handles from the rest and is null
 homologous.
 
-For genus at most 2 a based free-group word is recorded for every
-labeled curve, in the letters of :mod:`lefschetz.freegroup`.  At genus 2
-those words are exactly the representatives the twist tables were
-computed with, so the two views (word and homology class) stay
-consistent under twisting.  Higher-genus surfaces carry homology data
-only.
+At genus 2 a based free-group word is recorded for every labeled
+curve, in the letters of :mod:`lefschetz.freegroup`.  Those words are
+exactly the representatives the twist tables were computed with, so the
+two views (word and homology class) stay consistent under twisting.
+Other genera carry homology data only.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ class Surface:
         if label not in self.curve_words:
             raise KeyError(
                 f"no free-group word for {label!r}: words are recorded only "
-                "for genus <= 2"
+                "at genus 2"
             )
         return self.curve_words[label]
 
@@ -98,7 +97,7 @@ def standard_surface(genus: int) -> Surface:
             v[x - 1] += 1
         return tuple(v)
 
-    record_words = genus <= 2
+    record_words = genus == 2
     for i in range(1, genus + 2):
         label = f"c{2 * i - 1}"
         letters = []

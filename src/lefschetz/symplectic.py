@@ -235,10 +235,6 @@ class TransitivityCertificate:
             return "consistent with transitive"
         return "provably not transitive"
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(e.prime for e in self.entries)
-
 
 def transitivity_certificate(
     generators: Sequence[Sequence[Sequence[int]]],
@@ -250,21 +246,13 @@ def transitivity_certificate(
     )
 
 
-def vector_orbit(
-    generators: Sequence[Sequence[Sequence[int]]], start: Sequence[int], p: int
-) -> set[tuple[int, ...]]:
-    """Orbit of a vector mod p under the group the generators produce."""
-    vectors = list(product(range(p), repeat=len(start)))
-    v0 = vectors.index(tuple(x % p for x in start))
-    perms = [_vector_permutation(g, p) for g in generators]
-    return {vectors[k] for k in _orbit({v0: None}, perms)}
-
-
 def acts_transitively_mod_p(
     generators: Sequence[Sequence[Sequence[int]]], p: int
 ) -> bool:
     """Whether the generated group moves the first basis vector onto
     every nonzero vector of (Z/p)^2g."""
     dim = len(generators[0][0])
-    e1 = (1,) + (0,) * (dim - 1)
-    return len(vector_orbit(generators, e1, p)) == p**dim - 1
+    perms = [_vector_permutation(g, p) for g in generators]
+    # e1 = (1, 0, ..., 0) has code p^(dim-1): its first coordinate is
+    # the most significant digit.
+    return len(_orbit({p ** (dim - 1): None}, perms)) == p**dim - 1

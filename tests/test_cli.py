@@ -9,6 +9,7 @@ import lefschetz
 from lefschetz import catalog, symplectic
 from lefschetz.cli import main
 from lefschetz.fileformat import serialize_factorization
+from lefschetz.monodromy import Curve, Factorization
 
 
 def test_check_catalog_entry_exact(capsys):
@@ -27,6 +28,18 @@ def test_check_failure_exits_one(tmp_path, capsys):
                    '"twists": [{"base": "c1", "conj": []}]}')
     assert main(["check", str(bad)]) == 1
     assert "failed" in capsys.readouterr().out
+
+
+def test_check_exact_failure_names_the_level(tmp_path, capsys):
+    # The twist about s1 acts trivially on homology but is not inner.
+    word = catalog.get_factorization("matsumoto-62")
+    semi = tmp_path / "semi.txt"
+    semi.write_text(serialize_factorization(
+        Factorization(2, word.cycles + (Curve("s1"),))))
+    assert main(["check", str(semi), "--level", "exact"]) == 1
+    assert capsys.readouterr().out == "identity check failed at level exact\n"
+    assert main(["check", str(semi)]) == 0
+    assert capsys.readouterr().out == "identity: homology\n"
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -177,6 +190,17 @@ def test_feasibility_csv_deterministic(capsys):
     assert main(["feasibility", "--n-max", "8", "--s-max", "6"]) == 0
     assert capsys.readouterr().out == first
     assert first.splitlines()[0] == "n,s,status,b1_forced,b2_plus"
+
+
+def test_feasibility_svg_to_file_prints_nothing(tmp_path, capsys):
+    chart = tmp_path / "chart.svg"
+    assert main(["feasibility", "--n-max", "8", "--s-max", "6",
+                 "--format", "svg", "-o", str(chart)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["feasibility", "--n-max", "8", "--s-max", "6",
+                 "--format", "svg"]) == 0
+    assert chart.read_text() == capsys.readouterr().out
+    assert chart.read_text().startswith("<svg ")
 
 
 def test_family_output(capsys):

@@ -16,10 +16,8 @@ def test_inverse_and_concat():
     assert fg.concat((1,), (2,), (3,)) == (1, 2, 3)
 
 
-def test_conjugate_and_commutator():
+def test_conjugate():
     assert fg.conjugate((1,), (2,)) == (2, 1, -2)
-    assert fg.commutator((1,), (2,)) == (1, 2, -1, -2)
-    assert fg.commutator((1,), (1,)) == ()
 
 
 def test_cyclic_normal_form_and_same_loop():

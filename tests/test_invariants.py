@@ -1,6 +1,7 @@
 import pytest
 
 from lefschetz.catalog import get_factorization
+from lefschetz.freegroup import boundary_word
 from lefschetz.intlinalg import AbelianGroup
 from lefschetz.invariants import (
     basis_pair_search,
@@ -75,8 +76,8 @@ def test_pi1_presentation_and_abelianization():
     p = pi1_presentation(f)
     assert len(p.generators) == 4
     assert presentation_h1(p) == AbelianGroup(2)
-    over_disk = pi1_presentation(f, over_disk=True)
-    assert len(over_disk.relators) == len(p.relators) - 1
+    assert len(p.relators) == len(f.cycles) + 1
+    assert p.relators[-1] == boundary_word(2)
 
 
 def test_betti_bound_check_passes_catalog_word():

@@ -8,7 +8,6 @@ from lefschetz.monodromy import (
     Curve,
     Factorization,
     chain_substitute,
-    classify_curve,
     composite_endo,
     curve_class,
     curve_twist_endo,
@@ -54,8 +53,8 @@ def test_curve_classes():
 def test_separating_classification():
     assert is_separating(Curve("s1"), 2)
     assert not is_separating(Curve("c3"), 2)
-    assert classify_curve(Curve("s1", (("c1", -1),)), 2) == "separating"
-    assert classify_curve(Curve("c5"), 2) == "nonseparating"
+    assert is_separating(Curve("s1", (("c1", -1),)), 2)
+    assert not is_separating(Curve("c5"), 2)
 
 
 def test_curves_equal_reduces_conjugators():
@@ -66,12 +65,11 @@ def test_curves_equal_reduces_conjugators():
     lantern = standard_lantern()
     padded = Curve("c1", (("c2", 1), ("c2", -1)))
     window = (padded,) + lantern.boundary[1:]
-    out = lantern_substitute(Factorization(2, window, 0), 0, lantern)
+    out = lantern_substitute(Factorization(2, window, 0), 0)
     assert out.cycles == lantern.interior
     with pytest.raises(ValueError):
         lantern_substitute(
-            Factorization(2, (Curve("c1", (("c2", 1),)),) + window[1:], 0),
-            0, lantern,
+            Factorization(2, (Curve("c1", (("c2", 1),)),) + window[1:], 0), 0
         )
 
 
@@ -160,8 +158,7 @@ def test_standard_lantern_verifies():
     assert instance.verify()
     assert len(instance.boundary) == 4
     assert len(instance.interior) == 3
-    interior_kinds = [classify_curve(c, 2) for c in instance.interior]
-    assert interior_kinds.count("separating") == 1
+    assert sum(is_separating(c, 2) for c in instance.interior) == 1
 
 
 def test_lantern_substitute_shifts_type():
@@ -173,9 +170,9 @@ def test_lantern_substitute_shifts_type():
 def test_lantern_substitute_rejects_wrong_window():
     f = chain_word()
     with pytest.raises(ValueError):
-        lantern_substitute(f, 0, standard_lantern())
+        lantern_substitute(f, 0)
     with pytest.raises(IndexError):
-        lantern_substitute(f, len(f.cycles), standard_lantern())
+        lantern_substitute(f, len(f.cycles))
 
 
 def test_chain_substitute_round_trip():
