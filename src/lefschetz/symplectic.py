@@ -6,14 +6,17 @@ A twist about a curve of class c acts on first homology by the
 transvection  x -> x + <x, c> c.  With the pairing fixed block diagonal
 this is the integer matrix  I - c c^T J,  which is symplectic and
 unipotent.  Everything in this module works for arbitrary genus except
-``mod_p_closure``, which is limited to genus 2 and p in {2, 3, 5}.
+``mod_p_closure``, which is limited to genus 2 and p in {2, 3, 5}.  Its
+generators must be symplectic mod p, so that the group they generate
+lies in Sp(4, Z/p); the stabilizer chain stops as soon as the order it
+has proved reaches |Sp(4, Z/p)|, so a full group costs no verification
+sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from itertools import product
 from math import prod
 
 from . import intlinalg
@@ -21,8 +24,8 @@ from .intlinalg import Matrix, mat_mul, mat_vec
 from .surface import intersection_matrix
 
 
-def transvection(c: Sequence[int], power: int = 1) -> Matrix:
-    """Matrix of the ``power``-th iterate of the transvection along c."""
+def transvection(c: Sequence[int]) -> Matrix:
+    """Matrix of the transvection  x -> x + <x, c> c  along c."""
     n = len(c)
     if n % 2:
         raise ValueError("homology vectors have even length")
@@ -30,7 +33,7 @@ def transvection(c: Sequence[int], power: int = 1) -> Matrix:
     jc = mat_vec(j, c)
     return tuple(
         tuple(
-            (1 if i == k else 0) + power * c[i] * jc[k] for k in range(n)
+            (1 if i == k else 0) + c[i] * jc[k] for k in range(n)
         )
         for i in range(n)
     )
@@ -84,14 +87,20 @@ class ClosureReport:
 def _vector_permutation(m: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
     """The action of m on (Z/p)^n as a permutation of vector codes: a
     vector's code is its index in ``itertools.product(range(p), repeat=n)``,
-    that is its base-p digits with the first coordinate most significant."""
-    image = []
-    for v in product(range(p), repeat=len(m)):
-        code = 0
-        for x in mat_vec(m, v):
-            code = code * p + x % p
-        image.append(code)
-    return tuple(image)
+    that is its base-p digits with the first coordinate most significant.
+
+    By linearity, each image coordinate  sum_k m[i][k] v_k  is built for
+    all p^n vectors at once, one column of m at a time, in code order;
+    the codes are then assembled digit by digit, each digit reduced mod p
+    once."""
+    codes = [0] * p ** len(m)
+    for row in m:
+        digits = [0]
+        for c in row:
+            steps = [x * c for x in range(p)]
+            digits = [d + s for d in digits for s in steps]
+        codes = [code * p + d % p for code, d in zip(codes, digits)]
+    return tuple(codes)
 
 
 def _mul(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -123,14 +132,20 @@ def _orbit(tree: dict, perms: Sequence[tuple[int, ...]]) -> dict:
     return tree
 
 
-def _chain_order(perms: Sequence[tuple[int, ...]], n: int) -> int:
+def _chain_order(perms: Sequence[tuple[int, ...]], n: int, bound: int) -> int:
     """Order of the group generated by ``perms``, distinct nontrivial
     permutations of n points, from a base and strong generating set built
     by deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, section 4.4): the Schreier generators of
     each level are sifted through the levels below it; a residue that
     does not sift becomes a strong generator of every level down to the
-    one where it stopped, and processing resumes there."""
+    one where it stopped, and processing resumes there.
+
+    ``bound`` must be an upper bound on the group's order.  Each partial
+    basic orbit lies inside the true orbit of its level's stabilizer, so
+    the product of their lengths is a lower bound; once it reaches
+    ``bound`` the chain is complete and the remaining Schreier generators
+    are not sifted (Holt, Eick and O'Brien, section 4.5)."""
     ident = tuple(range(n))
     base, gens, trees, cosets = [], [], [], []
 
@@ -178,7 +193,7 @@ def _chain_order(perms: Sequence[tuple[int, ...]], n: int) -> int:
     for g in perms:
         add(g, 0, 0)
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and prod(len(tree) for tree in trees) < bound:
         found = residue(i)
         if found is None:
             i -= 1
@@ -199,7 +214,9 @@ def mod_p_closure(
     generator that is distinct and nontrivial mod p becomes a
     permutation of them; a Schreier-Sims stabilizer chain of those
     permutations gives the order as the product of its basic orbit
-    lengths.
+    lengths.  Every generator must be symplectic mod p (g^T J g = J),
+    or ``ValueError`` is raised: the group then lies in Sp(2g, Z/p), and
+    the chain stops as soon as its order reaches |Sp(2g, Z/p)|.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -210,9 +227,14 @@ def mod_p_closure(
         raise ValueError("closures are supported for genus 2 only")
     distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in generators)
     distinct.pop(intlinalg.identity_matrix(dim), None)
+    j = intlinalg.mat_mod(intersection_matrix(dim // 2), p)
+    for g in distinct:
+        form = mat_mul(mat_mul(intlinalg.transpose(g), j), g)
+        if intlinalg.mat_mod(form, p) != j:
+            raise ValueError(f"generator {g} is not symplectic mod {p}")
     perms = [_vector_permutation(g, p) for g in distinct]
-    order = _chain_order(perms, p**dim)
-    return ClosureReport(p, dim // 2, order, symplectic_group_order(dim // 2, p))
+    full = symplectic_group_order(dim // 2, p)
+    return ClosureReport(p, dim // 2, _chain_order(perms, p**dim, full), full)
 
 
 @dataclass(frozen=True)
@@ -251,6 +273,8 @@ def acts_transitively_mod_p(
 ) -> bool:
     """Whether the generated group moves the first basis vector onto
     every nonzero vector of (Z/p)^2g."""
+    if not generators:
+        raise ValueError("need at least one generator")
     dim = len(generators[0][0])
     perms = [_vector_permutation(g, p) for g in generators]
     # e1 = (1, 0, ..., 0) has code p^(dim-1): its first coordinate is

@@ -157,6 +157,15 @@ def test_memory_error_exits_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_transitivity_rejects_generators_not_symplectic_mod_p(
+        monkeypatch, capsys):
+    scaled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(symplectic, "transvection", lambda c: scaled)
+    assert main(["transitivity", "catalog:matsumoto-62"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not symplectic mod 2" in err
+
+
 def test_default_transitivity_fits_in_512_mb_without_numpy():
     child = textwrap.dedent("""
         import resource

@@ -108,7 +108,13 @@ def test_curve_class_is_the_transvection_product(genus_curve):
     surf = standard_surface(genus)
     mat = identity_matrix(2 * genus)
     for label, sign in curve.conj:
-        mat = mat_mul(mat, transvection(surf.class_of(label), power=sign))
+        step = transvection(surf.class_of(label))
+        if sign < 0:
+            # transvection(c) is I + N with x -> <x, c> c as N, so its
+            # inverse x -> x - <x, c> c is I - N = 2I - transvection(c).
+            step = tuple(tuple(2 * (i == k) - x for k, x in enumerate(row))
+                         for i, row in enumerate(step))
+        mat = mat_mul(mat, step)
     assert curve_class(curve, genus) == mat_vec(mat, surf.class_of(curve.base))
 
 

@@ -1,12 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
 from lefschetz.catalog import get_factorization
-from lefschetz.intlinalg import identity_matrix, is_identity_matrix, mat_mul
+from lefschetz.intlinalg import (
+    identity_matrix, is_identity_matrix, mat_mul, mat_vec,
+)
 from lefschetz.monodromy import curve_class
 from lefschetz.surface import algebraic_intersection, standard_surface
 from lefschetz.symplectic import (
+    _vector_permutation,
     acts_transitively_mod_p,
     is_symplectic,
     mod_p_closure,
@@ -42,6 +46,18 @@ def _set_closure_order(generators, p):
     return len(seen)
 
 
+def _reference_vector_permutation(m, p):
+    """Reference codes: one ``mat_vec`` per vector of (Z/p)^n, in
+    ``itertools.product`` order, first coordinate most significant."""
+    image = []
+    for v in product(range(p), repeat=len(m)):
+        code = 0
+        for x in mat_vec(m, v):
+            code = code * p + x % p
+        image.append(code)
+    return tuple(image)
+
+
 def test_transvection_is_symplectic():
     s = standard_surface(2)
     for label in s.labels:
@@ -64,15 +80,6 @@ def test_transvection_moves_transverse_class_by_pairing():
         b1[i] + pairing * s.class_of("c1")[i] for i in range(4)
     )
     assert image == expected
-
-
-def test_transvection_power_matches_repeated_product():
-    s = standard_surface(2)
-    c = s.class_of("c3")
-    cubed = transvection(c, 3)
-    step = transvection(c)
-    assert cubed == mat_mul(step, mat_mul(step, step))
-    assert mat_mul(transvection(c, -1), step) == identity_matrix(4)
 
 
 def test_symplectic_group_orders():
@@ -131,6 +138,46 @@ def test_closure_matches_set_closure_on_random_products_mod_two():
         assert mod_p_closure(gens, 2).order == _set_closure_order(gens, 2)
 
 
+# Closure orders of the transvections of every catalog factorization's
+# cycle classes at p = 2, 3 and 5, as computed by a full Schreier-Sims
+# chain with no stop at |Sp(4, Z/p)|.
+CATALOG_ORDERS = {
+    "chakiris-alpha": (720, 51840, 9360000),
+    "chakiris-gamma": (720, 51840, 9360000),
+    "hyperelliptic-sq": (720, 51840, 9360000),
+    "lantern-18-1": (720, 51840, 9360000),
+    "chakiris-beta": (120, 51840, 9360000),
+    "lantern-16-2": (24, 51840, 9360000),
+    "matsumoto-62": (8, 24, 120),
+    "fibersum-12-4": (8, 24, 120),
+    "baykur-korkmaz-43": (6, 27, 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ORDERS))
+def test_catalog_closure_orders(name):
+    f = get_factorization(name)
+    gens = [transvection(curve_class(c, f.genus)) for c in f.cycles]
+    orders = tuple(mod_p_closure(gens, p).order for p in (2, 3, 5))
+    assert orders == CATALOG_ORDERS[name]
+
+
+def test_vector_permutation_matches_per_vector_reference():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        for _ in range(25):
+            m = tuple(tuple(rng.randint(-7, 7) for _ in range(4))
+                      for _ in range(4))
+            assert _vector_permutation(m, p) == (
+                _reference_vector_permutation(m, p)), (m, p)
+
+
+def test_mod_p_closure_rejects_generators_not_symplectic_mod_p():
+    scaled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="not symplectic mod 3"):
+        mod_p_closure([scaled], 3)
+
+
 def test_single_twist_generates_a_proper_subgroup():
     s = standard_surface(2)
     report = mod_p_closure([transvection(s.class_of("c1"))], 2)
@@ -164,3 +211,8 @@ def test_transitivity_on_nonzero_vectors():
     assert acts_transitively_mod_p(gens, 3)
     s = standard_surface(2)
     assert not acts_transitively_mod_p([transvection(s.class_of("c1"))], 2)
+
+
+def test_transitivity_on_nonzero_vectors_needs_a_generator():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        acts_transitively_mod_p([], 3)
