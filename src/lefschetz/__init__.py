@@ -11,7 +11,7 @@ counts (n, s) are attainable in genus 2.
 """
 
 from .intlinalg import AbelianGroup, smith_normal_form
-from .surface import Surface, algebraic_intersection, intersection_matrix
+from .surface import Surface, algebraic_intersection
 from .freegroup import (
     Endo,
     Word,
@@ -117,7 +117,6 @@ __all__ = [
     "identity_check",
     "identity_endo",
     "indecomposability_check",
-    "intersection_matrix",
     "invariant_report",
     "is_separating",
     "lantern_substitute",

@@ -1,13 +1,15 @@
 """Feasibility of genus-2 fibration types (n, s).
 
 A genus-2 Lefschetz fibration with n nonseparating and s separating
-vanishing cycles must satisfy three arithmetic constraints: the
-signature count 3n + s is divisible by 5 (equivalently n + 12s is
-divisible by 10), the weighted length n + 7s reaches 20, and the sharp
-line bound 2n - s >= 5.  This module evaluates those constraints over
-the lattice, derives the forced first Betti numbers, lists the types
-with b2+ = 1, certifies indecomposability on the sharp line, and emits
-the feasibility chart as CSV or SVG.
+vanishing cycles must satisfy three arithmetic constraints: n + 12s is
+divisible by 10 (H1(Mod(Sigma_2)) = Z/10 takes a nonseparating twist to
+1 and, by the chain relation, a separating one to 12 = 2), which implies
+but is not implied by 5 | 3n + s (take (n, s) = (1, 2)); the weighted
+length n + 7s reaches 20; and the sharp line bound 2n - s >= 5.  This
+module evaluates those constraints over the lattice, derives the forced
+first Betti numbers, lists the types with b2+ = 1, certifies
+indecomposability on the sharp line, and emits the feasibility chart as
+CSV or SVG.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class NSReport:
 def admissible(n: int, s: int) -> NSReport:
     """Evaluate the three lattice constraints at (n, s).
 
-    mod10_ok: n + 12s is divisible by 10, which makes the fractional
-    signature -(3n + s)/5 an integer with the right parity.
+    mod10_ok: the word's image n + 12s in H1(Mod(Sigma_2)) = Z/10 is 0,
+    which implies that the fractional signature -(3n + s)/5 is an integer.
     weight_ok: the weighted length n + 7s reaches 20.
     sharp_ok: the sharp bound 2n - s >= 5.
 

@@ -80,11 +80,12 @@ def parse_factorization(text: str) -> Factorization:
     doc = _load_document(text)
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
+    # ``type(...) is int`` rejects JSON booleans, which load as bools.
     genus = doc.get("genus")
-    if not isinstance(genus, int) or genus < 1:
+    if type(genus) is not int or genus < 1:
         raise ParseError("'genus' must be a positive integer")
     base_genus = doc.get("base_genus", 0)
-    if not isinstance(base_genus, int) or base_genus < 0:
+    if type(base_genus) is not int or base_genus < 0:
         raise ParseError("'base_genus' must be a nonnegative integer")
     twists = doc.get("twists")
     if not isinstance(twists, list):

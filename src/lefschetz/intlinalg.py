@@ -15,9 +15,7 @@ Vector = tuple[int, ...]
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:

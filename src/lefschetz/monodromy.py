@@ -108,16 +108,12 @@ class Factorization:
 
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     """Homology class of a conjugated standard curve: the base class pushed
-    through the conjugator's transvections ``x -> x + sign <x, c> c``,
-    innermost token first."""
-    surf = standard_surface(genus)
-    x = surf.class_of(curve.base)
-    for label, sign in reversed(curve.conj):
-        c = surf.class_of(label)
-        t = sign * algebraic_intersection(x, c)
-        if t:
-            x = tuple(xi + t * ci for xi, ci in zip(x, c))
-    return x
+    through the conjugator's signed transvections, innermost token first."""
+    classes = standard_surface(genus).curve_classes
+    if not curve.conj:  # most vanishing cycles: skip the push's setup
+        return classes[curve.base]
+    steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
+    return symplectic.push_class(classes[curve.base], steps)
 
 
 def is_separating(curve: Curve, genus: int) -> bool:
@@ -147,9 +143,9 @@ def twist_tokens(curve: Curve, sign: int = 1) -> tuple[Token, ...]:
     return curve.conj + ((curve.base, sign),) + inverse
 
 
-def curve_twist_endo(curve: Curve, sign: int = 1) -> Endo:
+def curve_twist_endo(curve: Curve) -> Endo:
     """The twist about a conjugated curve, as a free-group automorphism."""
-    return conjugator_endo(reduce_tokens(twist_tokens(curve, sign)))
+    return conjugator_endo(reduce_tokens(twist_tokens(curve)))
 
 
 def ns_type(f: Factorization) -> tuple[int, int]:

@@ -4,11 +4,13 @@ the separating curves that split off low-genus pieces.
 
 Homology coordinates are taken in the ordered basis
 ``a1, b1, a2, b2, ..., ag, bg`` with intersection pairing
-``<a_i, b_i> = -1`` (block diagonal form).  The chain curves are labeled
-``c1 .. c{2g+1}``; odd ones carry class ``a_{i-1} + a_i`` (ends of the
-chain degenerate to a single ``a``), even ones carry ``b_i``.  The curve
-``s_h`` separates the first h handles from the rest and is null
-homologous.
+``<a_i, b_i> = -1`` (block diagonal form); ``algebraic_intersection``
+is its one definition, and every homology action in the package is
+built from it (see :mod:`lefschetz.symplectic`).  The chain curves are
+labeled ``c1 .. c{2g+1}``; odd ones carry class ``a_{i-1} + a_i`` (ends
+of the chain degenerate to a single ``a``), even ones carry ``b_i``.
+The curve ``s_h`` separates the first h handles from the rest and is
+null homologous.
 
 At genus 2 a based free-group word is recorded for every labeled
 curve, in the letters of :mod:`lefschetz.freegroup`.  Those words are
@@ -61,17 +63,6 @@ class Surface:
         return self.curve_words[label]
 
 
-@lru_cache(maxsize=None)
-def intersection_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for h in range(genus):
-        a, b = 2 * h, 2 * h + 1
-        rows[a][b] = -1
-        rows[b][a] = 1
-    return tuple(tuple(row) for row in rows)
-
-
 def algebraic_intersection(u, v) -> int:
     """Value of the intersection pairing on two homology vectors."""
     if len(u) != len(v) or len(u) % 2:
@@ -87,6 +78,8 @@ def algebraic_intersection(u, v) -> int:
 def standard_surface(genus: int) -> Surface:
     if genus < 1:
         raise ValueError("genus must be at least 1")
+    if genus > 100:  # 3g class vectors of length 2g: memory grows as g^2
+        raise ValueError("genus above 100 is not supported")
     rank = 2 * genus
     classes: dict[str, tuple[int, ...]] = {}
     words: dict[str, Word] = {}

@@ -3,64 +3,63 @@ exact products over the integers, and the orders of the groups those
 products generate modulo a prime, from Schreier-Sims stabilizer chains.
 
 A twist about a curve of class c acts on first homology by the
-transvection  x -> x + <x, c> c.  With the pairing fixed block diagonal
-this is the integer matrix  I - c c^T J,  which is symplectic and
-unipotent.  Everything in this module works for arbitrary genus except
-``mod_p_closure``, which is limited to genus 2 and p in {2, 3, 5}.  Its
-generators must be symplectic mod p, so that the group they generate
-lies in Sp(4, Z/p); the stabilizer chain stops as soon as the order it
-has proved reaches |Sp(4, Z/p)|, so a full group costs no verification
-sweep.
+transvection  x -> x + <x, c> c.  ``push_class`` applies signed
+transvections to a class with ``surface.algebraic_intersection``, and
+every homology action is built from it: column k of a product's matrix
+is e_k pushed through its classes, and m is symplectic when its columns
+pair like the basis, <m e_i, m e_j> = <e_i, e_j>, that is m^T J m = J.
+Everything here works for arbitrary genus except ``mod_p_closure`` and
+``acts_transitively_mod_p``: genus 2, p in {2, 3, 5}, and generators
+symplectic mod p, so the group lies in Sp(4, Z/p) and the stabilizer
+chain stops once its proved order reaches |Sp(4, Z/p)|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from math import prod
 
 from . import intlinalg
-from .intlinalg import Matrix, mat_mul, mat_vec
-from .surface import intersection_matrix
+from .intlinalg import Matrix, identity_matrix
+from .surface import algebraic_intersection
+
+
+def push_class(x: tuple[int, ...], steps: Iterable) -> tuple[int, ...]:
+    """Image of the class x under the signed transvections
+    x -> x + sign <x, c> c  of the ``(c, sign)`` steps, first step first."""
+    for c, sign in steps:
+        t = sign * algebraic_intersection(x, c)
+        if t:
+            x = tuple(xi + t * ci for xi, ci in zip(x, c))
+    return x
 
 
 def transvection(c: Sequence[int]) -> Matrix:
     """Matrix of the transvection  x -> x + <x, c> c  along c."""
-    n = len(c)
-    if n % 2:
-        raise ValueError("homology vectors have even length")
-    j = intersection_matrix(n // 2)
-    jc = mat_vec(j, c)
-    return tuple(
-        tuple(
-            (1 if i == k else 0) + c[i] * jc[k] for k in range(n)
-        )
-        for i in range(n)
-    )
+    return evaluate_classes((c,), len(c))
+
+
+def _column_pairings(m: Sequence[Sequence[int]]) -> Matrix:
+    """The pairings <m e_i, m e_j> of m's columns: the entries of m^T J m."""
+    columns = tuple(zip(*m))
+    return tuple(tuple(algebraic_intersection(u, v) for v in columns)
+                 for u in columns)
 
 
 def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
     n = len(m)
     if n % 2 or any(len(row) != n for row in m):
         return False
-    j = intersection_matrix(n // 2)
-    mt = intlinalg.transpose(m)
-    return mat_mul(mat_mul(mt, j), m) == j
+    return _column_pairings(m) == _column_pairings(identity_matrix(n))
 
 
 def evaluate_classes(classes: Sequence[Sequence[int]], rank: int) -> Matrix:
     """Composite transvection for a list of twist classes applied in
-    order: the first class acts first.  Each transvection is applied as
-    the rank-one update  M <- M + c ((Jc)^T M),  in O(rank^2) steps."""
-    j = intersection_matrix(rank // 2)
-    total = [list(row) for row in intlinalg.identity_matrix(rank)]
-    for c in classes:
-        jc = mat_vec(j, c)
-        r = [sum(x * y for x, y in zip(jc, col)) for col in zip(*total)]
-        for ci, row in zip(c, total):
-            if ci:
-                row[:] = [y + ci * x for x, y in zip(r, row)]
-    return tuple(tuple(row) for row in total)
+    order: the first class acts first.  Column k is e_k pushed through
+    the classes."""
+    steps = [(c, 1) for c in classes]
+    return tuple(zip(*(push_class(e, steps) for e in identity_matrix(rank))))
 
 
 def symplectic_group_order(genus: int, p: int) -> int:
@@ -204,6 +203,25 @@ def _chain_order(perms: Sequence[tuple[int, ...]], n: int, bound: int) -> int:
     return prod(len(tree) for tree in trees)
 
 
+def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
+    """The generators distinct and nontrivial mod p, after checking that
+    there is one, p is 2, 3 or 5, and each is 4x4 and symplectic mod p."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    if p not in (2, 3, 5):
+        raise ValueError("closure primes are limited to 2, 3, and 5")
+    if any(len(g) != 4 or any(len(r) != 4 for r in g) for g in generators):
+        raise ValueError("closures are supported for genus 2 only")
+    identity = identity_matrix(4)
+    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in generators)
+    distinct.pop(identity, None)
+    form = intlinalg.mat_mod(_column_pairings(identity), p)
+    for g in distinct:
+        if intlinalg.mat_mod(_column_pairings(g), p) != form:
+            raise ValueError(f"generator {g} is not symplectic mod {p}")
+    return list(distinct)
+
+
 def mod_p_closure(
     generators: Sequence[Sequence[Sequence[int]]], p: int
 ) -> ClosureReport:
@@ -214,27 +232,15 @@ def mod_p_closure(
     generator that is distinct and nontrivial mod p becomes a
     permutation of them; a Schreier-Sims stabilizer chain of those
     permutations gives the order as the product of its basic orbit
-    lengths.  Every generator must be symplectic mod p (g^T J g = J),
-    or ``ValueError`` is raised: the group then lies in Sp(2g, Z/p), and
-    the chain stops as soon as its order reaches |Sp(2g, Z/p)|.
+    lengths.  Every generator must be symplectic mod p, its columns
+    pairing like the basis, or ``ValueError`` is raised: the group then
+    lies in Sp(2g, Z/p), and the chain stops as soon as its order
+    reaches |Sp(2g, Z/p)|.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    if p not in (2, 3, 5):
-        raise ValueError("closure primes are limited to 2, 3, and 5")
-    dim = len(generators[0][0])
-    if dim != 4:
-        raise ValueError("closures are supported for genus 2 only")
-    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in generators)
-    distinct.pop(intlinalg.identity_matrix(dim), None)
-    j = intlinalg.mat_mod(intersection_matrix(dim // 2), p)
-    for g in distinct:
-        form = mat_mul(mat_mul(intlinalg.transpose(g), j), g)
-        if intlinalg.mat_mod(form, p) != j:
-            raise ValueError(f"generator {g} is not symplectic mod {p}")
+    distinct = _distinct_generators(generators, p)
     perms = [_vector_permutation(g, p) for g in distinct]
-    full = symplectic_group_order(dim // 2, p)
-    return ClosureReport(p, dim // 2, _chain_order(perms, p**dim, full), full)
+    full = symplectic_group_order(2, p)
+    return ClosureReport(p, 2, _chain_order(perms, p**4, full), full)
 
 
 @dataclass(frozen=True)
@@ -272,11 +278,10 @@ def acts_transitively_mod_p(
     generators: Sequence[Sequence[Sequence[int]]], p: int
 ) -> bool:
     """Whether the generated group moves the first basis vector onto
-    every nonzero vector of (Z/p)^2g."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    dim = len(generators[0][0])
-    perms = [_vector_permutation(g, p) for g in generators]
-    # e1 = (1, 0, ..., 0) has code p^(dim-1): its first coordinate is
-    # the most significant digit.
-    return len(_orbit({p ** (dim - 1): None}, perms)) == p**dim - 1
+    every nonzero vector of (Z/p)^4; the generators are checked as for
+    ``mod_p_closure``."""
+    distinct = _distinct_generators(generators, p)
+    perms = [_vector_permutation(g, p) for g in distinct]
+    # e1 = (1, 0, 0, 0) has code p^3: its first coordinate is the most
+    # significant digit.
+    return len(_orbit({p**3: None}, perms)) == p**4 - 1

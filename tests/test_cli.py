@@ -166,31 +166,53 @@ def test_transitivity_rejects_generators_not_symplectic_mod_p(
     assert err.startswith("error:") and "not symplectic mod 2" in err
 
 
-def test_default_transitivity_fits_in_512_mb_without_numpy():
-    child = textwrap.dedent("""
+def _run_under_address_limit(mb, code, *argv):
+    """Run ``code`` with ``argv`` in a child interpreter whose address
+    space (``RLIMIT_AS``) is capped at ``mb`` megabytes."""
+    child = textwrap.dedent(f"""
         import resource
-        import sys
-
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 * 1024, hard))
+        resource.setrlimit(resource.RLIMIT_AS, ({mb} * 1024 * 1024, hard))
+    """) + textwrap.dedent(code)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefschetz.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_default_transitivity_fits_in_512_mb_without_numpy():
+    result = _run_under_address_limit(512, """
+        import sys
         from lefschetz.cli import main
 
         code = main(["transitivity", "catalog:chakiris-gamma"])
         print("numpy imported:", "numpy" in sys.modules)
         sys.exit(code)
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lefschetz.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-c", child], env=env,
-                            capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert "p=2: closure order 720 of 720 (full)" in lines
     assert "p=3: closure order 51840 of 51840 (full)" in lines
     assert "p=5: closure order 9360000 of 9360000 (full)" in lines
     assert "numpy imported: False" in lines
+
+
+@pytest.mark.parametrize("command", ["type", "invariants"])
+def test_huge_declared_genus_exits_two_in_bounded_memory(tmp_path, command):
+    # Run only under the address limit: unbounded, the parse alone would
+    # build 3g class vectors of length 2g.
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"genus": 100000, "twists": [{"base": "c1"}]}')
+    result = _run_under_address_limit(256, """
+        import sys
+        from lefschetz.cli import main
+
+        sys.exit(main(sys.argv[1:]))
+    """, command, str(doc))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: genus above 100 is not supported\n"
 
 
 def test_feasibility_csv_deterministic(capsys):

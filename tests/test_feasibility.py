@@ -18,6 +18,8 @@ def test_admissible_known_points():
     assert not admissible(2, 0).admissible
     # fails the congruence
     assert not admissible(5, 0).admissible
+    # 3n + s = 5 is a multiple of 5, but n + 2s = 5 is not one of 10
+    assert admissible(1, 2).mod10_ok is False
 
 
 def test_admissible_status_strings():

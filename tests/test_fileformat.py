@@ -50,4 +50,9 @@ def test_parse_errors_carry_positions():
         parse_factorization(
             '{"genus": 2, "base_genus": 0, "twists": [{"base": "c9", "conj": []}]}'
         )
+    # JSON booleans load as Python bools, which are ints
+    for doc in ('{"genus": true, "twists": [{"base": "c1"}]}',
+                '{"genus": 2, "base_genus": false, "twists": []}'):
+        with pytest.raises(ParseError, match="genus"):
+            parse_factorization(doc)
 

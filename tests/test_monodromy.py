@@ -9,6 +9,7 @@ from lefschetz.monodromy import (
     Factorization,
     chain_substitute,
     composite_endo,
+    conjugator_endo,
     curve_class,
     curve_twist_endo,
     evaluate,
@@ -20,9 +21,11 @@ from lefschetz.monodromy import (
     lantern_substitute,
     ns_type,
     parse_token,
+    reduce_tokens,
     rotate,
     standard_lantern,
     token_string,
+    twist_tokens,
 )
 from lefschetz import catalog
 from lefschetz.catalog import get_factorization
@@ -201,10 +204,9 @@ def test_composite_endo_matches_twist_composition():
 def test_twist_about_unreduced_conjugate_inverts():
     curve = Curve("c3", (("c1", 1), ("c2", -1), ("c2", 1), ("s1", 1)))
     identity = fg.identity_endo(4)
-    assert fg.compose(curve_twist_endo(curve, -1),
-                      curve_twist_endo(curve, 1)) == identity
-    assert fg.compose(curve_twist_endo(curve, 1),
-                      curve_twist_endo(curve, -1)) == identity
+    inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
+    assert fg.compose(inverse, curve_twist_endo(curve)) == identity
+    assert fg.compose(curve_twist_endo(curve), inverse) == identity
     assert curve_twist_endo(curve) == curve_twist_endo(curve.reduced())
 
 

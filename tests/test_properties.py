@@ -7,15 +7,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from lefschetz import freegroup as fg
+from lefschetz.fileformat import parse_factorization, serialize_factorization
 from lefschetz.intlinalg import identity_matrix, mat_mul, mat_vec
 from lefschetz.monodromy import (
     Curve,
     Factorization,
     composite_endo,
+    conjugator_endo,
     curve_class,
     curve_twist_endo,
     global_conjugate,
     hurwitz_move,
+    reduce_tokens,
+    twist_tokens,
 )
 from lefschetz.surface import standard_surface
 from lefschetz.symplectic import evaluate_classes, transvection
@@ -214,9 +218,17 @@ def test_composite_endo_is_hurwitz_invariant(cycles, i, direction):
     assert composite_endo(g) == composite_endo(f)
 
 
-@given(genus2_curves, st.sampled_from((1, -1)))
-def test_curve_twist_endo_matches_reference(curve, sign):
-    assert curve_twist_endo(curve, sign) == reference_twist(curve, sign)
+@given(genus2_curves)
+def test_curve_twist_endo_matches_reference(curve):
+    assert curve_twist_endo(curve) == reference_twist(curve)
+    inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
+    assert inverse == reference_twist(curve, -1)
+
+
+@given(st.lists(genus2_curves, max_size=5), st.integers(0, 3))
+def test_parse_inverts_serialize(cycles, base_genus):
+    f = Factorization(2, tuple(cycles), base_genus)
+    assert parse_factorization(serialize_factorization(f)) == f
 
 
 @given(st.lists(tokens, max_size=6), st.lists(tokens, max_size=6),

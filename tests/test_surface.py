@@ -1,30 +1,27 @@
 import pytest
 
-from lefschetz.surface import (
-    algebraic_intersection,
-    intersection_matrix,
-    standard_surface,
-)
-
-
-def test_intersection_matrix_is_standard_symplectic():
-    m = intersection_matrix(2)
-    assert len(m) == 4
-    assert m[0][1] == -1 and m[1][0] == 1
-    assert m[2][3] == -1 and m[3][2] == 1
-    for i in range(4):
-        assert m[i][i] == 0
-        for j in range(4):
-            assert m[i][j] == -m[j][i]
+from lefschetz.surface import algebraic_intersection, standard_surface
 
 
 def test_algebraic_intersection_bilinear():
     a1 = (1, 0, 0, 0)
     b1 = (0, 1, 0, 0)
+    a2 = (0, 0, 1, 0)
+    b2 = (0, 0, 0, 1)
     assert algebraic_intersection(a1, b1) == -1
     assert algebraic_intersection(b1, a1) == 1
-    assert algebraic_intersection(a1, a1) == 0
+    assert algebraic_intersection(a2, b2) == -1
+    assert algebraic_intersection(b2, a2) == 1
     assert algebraic_intersection((1, 0, 1, 0), (0, 1, 0, 1)) == -2
+    basis = (a1, b1, a2, b2)
+    for u in basis:
+        assert algebraic_intersection(u, u) == 0
+        for v in basis:
+            assert algebraic_intersection(u, v) == -algebraic_intersection(v, u)
+    # the two handles are orthogonal
+    for u in (a1, b1):
+        for v in (a2, b2):
+            assert algebraic_intersection(u, v) == 0
 
 
 def test_standard_surface_labels():
@@ -64,3 +61,9 @@ def test_genus_three_has_seven_chain_curves():
 def test_genus_zero_rejected():
     with pytest.raises(ValueError):
         standard_surface(0)
+
+
+def test_genus_above_one_hundred_rejected():
+    assert standard_surface(100).rank == 200
+    with pytest.raises(ValueError, match="genus above 100"):
+        standard_surface(101)

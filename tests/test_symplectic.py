@@ -5,11 +5,12 @@ import pytest
 
 from lefschetz.catalog import get_factorization
 from lefschetz.intlinalg import (
-    identity_matrix, is_identity_matrix, mat_mul, mat_vec,
+    identity_matrix, is_identity_matrix, mat_mul, mat_vec, transpose,
 )
 from lefschetz.monodromy import curve_class
 from lefschetz.surface import algebraic_intersection, standard_surface
 from lefschetz.symplectic import (
+    _column_pairings,
     _vector_permutation,
     acts_transitively_mod_p,
     is_symplectic,
@@ -56,6 +57,29 @@ def _reference_vector_permutation(m, p):
             code = code * p + x % p
         image.append(code)
     return tuple(image)
+
+
+def _pairing_matrix(genus):
+    """Reference J: the pairing's matrix, <u, v> = u^T J v, with
+    <a_i, b_i> = -1 on each handle."""
+    j = [[0] * (2 * genus) for _ in range(2 * genus)]
+    for a in range(0, 2 * genus, 2):
+        j[a][a + 1], j[a + 1][a] = -1, 1
+    return tuple(tuple(row) for row in j)
+
+
+def test_column_pairings_are_the_matrix_form():
+    rng = random.Random(20261019)
+    for genus in (1, 2, 3):
+        n = 2 * genus
+        j = _pairing_matrix(genus)
+        assert _column_pairings(identity_matrix(n)) == j
+        for _ in range(30):
+            m = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
+                      for _ in range(n))
+            form = mat_mul(mat_mul(transpose(m), j), m)
+            assert _column_pairings(m) == form, m
+            assert is_symplectic(m) == (form == j), m
 
 
 def test_transvection_is_symplectic():
@@ -216,3 +240,15 @@ def test_transitivity_on_nonzero_vectors():
 def test_transitivity_on_nonzero_vectors_needs_a_generator():
     with pytest.raises(ValueError, match="need at least one generator"):
         acts_transitively_mod_p([], 3)
+
+
+def test_transitivity_on_nonzero_vectors_checks_its_generators():
+    with pytest.raises(ValueError, match="genus 2 only"):
+        acts_transitively_mod_p([identity_matrix(4), identity_matrix(6)], 3)
+    with pytest.raises(ValueError, match="genus 2 only"):
+        acts_transitively_mod_p([((1, 0, 0, 0), (0, 1, 0, 0))], 3)
+    with pytest.raises(ValueError, match="limited to 2, 3, and 5"):
+        acts_transitively_mod_p(_chain_transvections(), 7)
+    scaled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="not symplectic mod 3"):
+        acts_transitively_mod_p([scaled], 3)
