@@ -109,11 +109,10 @@ class Factorization:
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     """Homology class of a conjugated standard curve: the base class pushed
     through the conjugator's signed transvections, innermost token first."""
-    classes = standard_surface(genus).curve_classes
-    if not curve.conj:  # most vanishing cycles: skip the push's setup
-        return classes[curve.base]
-    steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
-    return symplectic.push_class(classes[curve.base], steps)
+    surf = standard_surface(genus)
+    steps = ((surf.class_of(label), sign)
+             for label, sign in reversed(curve.conj))
+    return symplectic.push_class(surf.class_of(curve.base), steps)
 
 
 def is_separating(curve: Curve, genus: int) -> bool:

@@ -82,6 +82,21 @@ def test_column_pairings_are_the_matrix_form():
             assert is_symplectic(m) == (form == j), m
 
 
+def test_transvection_is_the_rank_one_matrix_update():
+    rng = random.Random(20261020)
+    for genus in (1, 2, 3):
+        n = 2 * genus
+        j = _pairing_matrix(genus)
+        for _ in range(30):
+            c = tuple(rng.randint(-5, 5) for _ in range(n))
+            jc = mat_vec(j, c)
+            expected = tuple(
+                tuple(int(i == k) + c[i] * jc[k] for k in range(n))
+                for i in range(n)
+            )
+            assert transvection(c) == expected, c
+
+
 def test_transvection_is_symplectic():
     s = standard_surface(2)
     for label in s.labels:
