@@ -36,8 +36,11 @@ def _write(text: str, path: Optional[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     f = _load(args.src)
+    # Without --level, run every level defined at the word's genus; the
+    # exact level needs genus 2.
+    default = _LEVELS if f.genus == 2 else ("homology",)
     passed = None
-    for level in (args.level,) if args.level else _LEVELS:
+    for level in (args.level,) if args.level else default:
         if not monodromy.identity_check(f, level):
             if passed is None:
                 print(f"identity check failed at level {level}")
@@ -117,10 +120,7 @@ def _cmd_sub_chain(args: argparse.Namespace) -> int:
 def _cmd_transitivity(args: argparse.Namespace) -> int:
     f = _load(args.src)
     primes = tuple(int(p) for p in args.primes.split(","))
-    generators = [
-        symplectic.transvection(monodromy.curve_class(c, f.genus))
-        for c in f.cycles
-    ]
+    generators = [symplectic.transvection(c) for c in f.classes]
     certificate = symplectic.transitivity_certificate(generators, primes)
     for entry in certificate.entries:
         tag = "full" if entry.is_full else "proper subgroup"

@@ -1,5 +1,5 @@
-"""Exact integer matrix helpers: products, determinants, Smith normal
-form, and finitely generated abelian group invariants.
+"""Exact integer matrix helpers: Smith normal form and finitely
+generated abelian group invariants.
 
 Matrices are tuples of tuples of Python ints, so every computation here
 is exact at any size.  Row count first: ``m[i][j]`` is row i, column j.
@@ -11,26 +11,10 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
-Vector = tuple[int, ...]
 
 
 def identity_matrix(n: int) -> Matrix:
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
-
-
-def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(zip(*[tuple(row) for row in m])) if m else ()
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_mod(a: Sequence[Sequence[int]], p: int) -> Matrix:
@@ -43,33 +27,6 @@ def is_identity_matrix(a: Sequence[Sequence[int]]) -> bool:
         for i, row in enumerate(a)
         for j, x in enumerate(row)
     )
-
-
-def det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(

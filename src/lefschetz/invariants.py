@@ -18,10 +18,11 @@ identity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import freegroup, monodromy
-from .intlinalg import AbelianGroup, quotient_by_rows, smith_normal_form
+from .intlinalg import AbelianGroup, quotient_by_rows
 from .monodromy import Factorization
 
 
@@ -55,9 +56,7 @@ def signature_g2(f: Factorization) -> int:
 def first_homology(f: Factorization) -> AbelianGroup:
     """H1 of the total space: the fiber lattice modulo vanishing-cycle
     classes, plus a free summand for a positive-genus base."""
-    rank = 2 * f.genus
-    rows = [monodromy.curve_class(c, f.genus) for c in f.cycles]
-    quotient = quotient_by_rows(rows, rank)
+    quotient = quotient_by_rows(f.classes, 2 * f.genus)
     return AbelianGroup(quotient.free_rank + 2 * f.base_genus, quotient.torsion)
 
 
@@ -176,34 +175,18 @@ def betti_bound_check(f: Factorization) -> BettiBoundReport:
         raise ValueError("the Betti bound applies to nontrivial fibrations only")
     b1 = first_homology(f).free_rank
     bound = 2 * f.genus + 2 * f.base_genus - 2
-    classes = [
-        monodromy.curve_class(c, f.genus)
-        for c in f.cycles
-        if not monodromy.is_separating(c, f.genus)
-    ]
-    witness = False
-    seen = set()
-    for cls in classes:
-        neg = tuple(-v for v in cls)
-        key = min(cls, neg)
-        seen.add(key)
-        if len(seen) > 1:
-            witness = True
-            break
-    return BettiBoundReport(b1, bound, b1 <= bound, witness)
+    # Nonzero classes up to sign; two distinct ones are the witness.
+    keys = {min(c, tuple(-v for v in c)) for c in f.classes if any(c)}
+    return BettiBoundReport(b1, bound, b1 <= bound, len(keys) > 1)
 
 
 def basis_pair_search(f: Factorization) -> list[tuple[int, int]]:
     """All index pairs whose two cycle classes extend to an integral
-    basis of the fiber lattice (the 2x4 class matrix has Smith form
-    diag(1,1))."""
+    basis of the fiber lattice: those that leave Z^4 / <u, v> = Z^2."""
     if f.genus != 2:
         raise ValueError("basis-pair search is a genus-2 computation")
-    classes = [monodromy.curve_class(c, f.genus) for c in f.cycles]
-    pairs = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            d, _, _ = smith_normal_form((classes[i], classes[j]))
-            if list(d) == [1, 1]:
-                pairs.append((i, j))
-    return pairs
+    return [
+        (i, j)
+        for (i, u), (j, v) in combinations(enumerate(f.classes), 2)
+        if quotient_by_rows((u, v), 4) == AbelianGroup(2)
+    ]

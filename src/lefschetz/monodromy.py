@@ -12,11 +12,16 @@ conjugator [t1, t2] is the image of its base curve under the composite
 twist(t1) o twist(t2).  Global conjugation therefore prefixes tokens.
 A twist is the token word ``conj . base . conj^-1``, so the exact composite
 of a factorization is one token word, reduced once and then evaluated.
+
+``Factorization.classes`` holds the homology classes of the vanishing
+cycles, computed once per factorization; the homology image, the (n, s)
+type, the lantern check and the invariants all read that one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -84,10 +89,11 @@ class Factorization:
     base_genus: int = 0
 
     def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError("fiber genus must be at least 1")
-        if self.base_genus < 0:
-            raise ValueError("base genus must be nonnegative")
+        # ``type(...) is int`` rejects booleans, as the file parser does.
+        if type(self.genus) is not int or self.genus < 1:
+            raise ValueError("fiber genus must be a positive integer")
+        if type(self.base_genus) is not int or self.base_genus < 0:
+            raise ValueError("base genus must be a nonnegative integer")
         surf = standard_surface(self.genus)
         for curve in self.cycles:
             if curve.base not in surf.labels:
@@ -104,6 +110,13 @@ class Factorization:
 
     def __len__(self) -> int:
         return len(self.cycles)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Homology classes of the vanishing cycles, in cycle order.  The
+        dataclass is frozen, so the cached value never goes stale; it is
+        not a field, so equality, hashing and repr ignore it."""
+        return tuple(curve_class(c, self.genus) for c in self.cycles)
 
 
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
@@ -149,14 +162,13 @@ def curve_twist_endo(curve: Curve) -> Endo:
 
 def ns_type(f: Factorization) -> tuple[int, int]:
     """Counts of (nonseparating, separating) vanishing cycles."""
-    s = sum(1 for c in f.cycles if is_separating(c, f.genus))
+    s = sum(not any(c) for c in f.classes)
     return (len(f.cycles) - s, s)
 
 
 def evaluate(f: Factorization):
     """Image of the factorization in Sp(2g, Z); first cycle acts first."""
-    classes = [curve_class(c, f.genus) for c in f.cycles]
-    return symplectic.evaluate_classes(classes, 2 * f.genus)
+    return symplectic.evaluate_classes(f.classes, 2 * f.genus)
 
 
 def composite_endo(f: Factorization) -> Endo:
@@ -259,15 +271,17 @@ class LanternInstance:
     interior: tuple[Curve, Curve, Curve]
 
     def verify(self) -> bool:
-        """Homology-level relation plus the intersection pattern (genus 2)."""
-        lhs = evaluate(Factorization(2, self.boundary))
-        rhs = evaluate(Factorization(2, self.interior))
-        classes = [curve_class(c, 2) for c in self.boundary + self.interior]
+        """Homology-level relation plus the intersection pattern (genus 2):
+        the seven classes pair trivially, and exactly one curve, an
+        interior one, is null-homologous (separating)."""
+        classes = Factorization(2, self.boundary + self.interior).classes
+        lhs = symplectic.evaluate_classes(classes[:4], 4)
+        rhs = symplectic.evaluate_classes(classes[4:], 4)
         pairs = combinations(classes, 2)
         if lhs != rhs or any(algebraic_intersection(u, v) for u, v in pairs):
             return False
-        return (sum(is_separating(c, 2) for c in self.interior) == 1
-                and not any(is_separating(c, 2) for c in self.boundary))
+        return (sum(not any(c) for c in classes[4:]) == 1
+                and all(any(c) for c in classes[:4]))
 
 
 def standard_lantern() -> LanternInstance:

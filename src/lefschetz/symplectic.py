@@ -47,13 +47,6 @@ def _column_pairings(m: Sequence[Sequence[int]]) -> Matrix:
                  for u in columns)
 
 
-def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
-    n = len(m)
-    if n % 2 or any(len(row) != n for row in m):
-        return False
-    return _column_pairings(m) == _column_pairings(identity_matrix(n))
-
-
 def evaluate_classes(classes: Sequence[Sequence[int]], rank: int) -> Matrix:
     """Composite transvection for a list of twist classes applied in
     order: the first class acts first.  Column k is e_k pushed through
@@ -73,10 +66,14 @@ def symplectic_group_order(genus: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class ClosureReport:
+    """The order of the group that generators span in Sp(4, Z/p)."""
+
     prime: int
-    genus: int
     order: int
-    full_group_order: int
+
+    @property
+    def full_group_order(self) -> int:
+        return symplectic_group_order(2, self.prime)
 
     @property
     def is_full(self) -> bool:
@@ -240,7 +237,7 @@ def mod_p_closure(
     distinct = _distinct_generators(generators, p)
     perms = [_vector_permutation(g, p) for g in distinct]
     full = symplectic_group_order(2, p)
-    return ClosureReport(p, 2, _chain_order(perms, p**4, full), full)
+    return ClosureReport(p, _chain_order(perms, p**4, full))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,72 @@
+"""Plain matrix algebra that the tests compare the package against.
+
+The package itself never multiplies matrices or takes determinants: its
+homology actions are built from the intersection pairing (see
+``lefschetz.symplectic``).  These textbook formulas are the independent
+references: products, determinants, the pairing's matrix J, and the
+symplectic condition m^T J m = J.
+"""
+
+from collections.abc import Sequence
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def transpose(m: Sequence[Sequence[int]]) -> Matrix:
+    return tuple(zip(*[tuple(row) for row in m])) if m else ()
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def det(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in mat]
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def pairing_matrix(genus: int) -> Matrix:
+    """J: the pairing's matrix, <u, v> = u^T J v, with <a_i, b_i> = -1
+    on each handle."""
+    j = [[0] * (2 * genus) for _ in range(2 * genus)]
+    for a in range(0, 2 * genus, 2):
+        j[a][a + 1], j[a + 1][a] = -1, 1
+    return tuple(tuple(row) for row in j)
+
+
+def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
+    """Whether m is square of even size with m^T J m = J."""
+    n = len(m)
+    if n % 2 or any(len(row) != n for row in m):
+        return False
+    j = pairing_matrix(n // 2)
+    return mat_mul(mat_mul(transpose(m), j), m) == j

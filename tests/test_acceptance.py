@@ -16,7 +16,6 @@ from lefschetz.feasibility import (
     family_invariants,
     indecomposability_check,
 )
-from lefschetz.intlinalg import mat_vec
 from lefschetz.invariants import (
     betti_bound_check,
     euler_characteristic,
@@ -41,6 +40,7 @@ from lefschetz.symplectic import (
     mod_p_closure,
     transvection,
 )
+from reference import mat_vec
 
 import pytest
 

@@ -1,7 +1,9 @@
+import json
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,19 @@ def test_check_exact_failure_names_the_level(tmp_path, capsys):
     assert capsys.readouterr().out == "identity check failed at level exact\n"
     assert main(["check", str(semi)]) == 0
     assert capsys.readouterr().out == "identity: homology\n"
+
+
+def test_default_check_runs_only_levels_defined_at_the_genus(tmp_path, capsys):
+    # The genus-3 chain relation (c1 ... c7)^8: the exact level needs
+    # genus 2, so the default check stops at homology.
+    chain = tmp_path / "chain-g3.json"
+    chain.write_text(serialize_factorization(
+        Factorization(3, tuple(Curve(f"c{i}") for i in range(1, 8)) * 8)))
+    assert main(["check", str(chain)]) == 0
+    assert capsys.readouterr().out == "identity: homology\n"
+    assert main(["check", str(chain), "--level", "exact"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exact composites are available only at genus 2\n")
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -267,3 +282,22 @@ def test_usage_error_exits_two():
         main(["hurwitz", "catalog:chakiris-gamma", "--dir", "sideways",
               "--index", "0"])
     assert exc.value.code == 2
+
+
+# Standard output of the commands that read a word's class list, on
+# every catalog word: how the classes are computed must not change a
+# byte of it.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "catalog_cli.json").read_text())
+GOLDEN_COMMANDS = (["type"], ["invariants"], ["basis-pairs"],
+                   ["transitivity", "--primes", "2,3"])
+
+
+@pytest.mark.parametrize("name", [
+    e.name for e in catalog.list_entries() if e.kind == "factorization"])
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS, ids=lambda c: c[0])
+def test_catalog_word_output_is_pinned(name, command, capsys):
+    argv = [command[0], f"catalog:{name}", *command[1:]]
+    expected = GOLDEN[" ".join(argv)]
+    assert main(argv) == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]

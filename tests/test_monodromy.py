@@ -7,6 +7,7 @@ from lefschetz.intlinalg import is_identity_matrix
 from lefschetz.monodromy import (
     Curve,
     Factorization,
+    LanternInstance,
     chain_substitute,
     composite_endo,
     conjugator_endo,
@@ -164,6 +165,13 @@ def test_standard_lantern_verifies():
     assert sum(is_separating(c, 2) for c in instance.interior) == 1
 
 
+def test_lantern_verify_rejects_a_separating_boundary_curve():
+    # Equal homology images, pairwise disjoint classes and one separating
+    # interior curve: only the boundary condition rules this one out.
+    s1, c1 = Curve("s1"), Curve("c1")
+    assert not LanternInstance((s1, s1, c1, c1), (s1, c1, c1)).verify()
+
+
 def test_lantern_substitute_shifts_type():
     f = get_factorization("lantern-18-1")
     assert ns_type(f) == (18, 1)
@@ -224,5 +232,8 @@ def test_composite_endo_matches_reference_fold_on_the_catalog():
 
 
 def test_factorization_validates_genus():
-    with pytest.raises(ValueError):
-        Factorization(0, (Curve("c1"),), 0)
+    # Booleans are refused too: a genus of True would serialize as
+    # "genus": True, which no parser reads back.
+    for genus, base_genus in ((0, 0), (True, 0), (2, True), (2, False)):
+        with pytest.raises(ValueError):
+            Factorization(genus, (Curve("c1"),), base_genus)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from lefschetz import freegroup as fg
 from lefschetz.fileformat import parse_factorization, serialize_factorization
-from lefschetz.intlinalg import identity_matrix, mat_mul, mat_vec
+from lefschetz.intlinalg import identity_matrix
 from lefschetz.monodromy import (
     Curve,
     Factorization,
@@ -16,13 +16,16 @@ from lefschetz.monodromy import (
     conjugator_endo,
     curve_class,
     curve_twist_endo,
+    fiber_sum,
     global_conjugate,
     hurwitz_move,
     reduce_tokens,
+    rotate,
     twist_tokens,
 )
 from lefschetz.surface import standard_surface
 from lefschetz.symplectic import evaluate_classes, transvection
+from reference import mat_mul, mat_vec
 
 RANK = fg.GENUS2_RANK
 LETTERS = [s * g for g in range(1, RANK + 1) for s in (1, -1)]
@@ -223,6 +226,38 @@ def test_curve_twist_endo_matches_reference(curve):
     assert curve_twist_endo(curve) == reference_twist(curve)
     inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
     assert inverse == reference_twist(curve, -1)
+
+
+@st.composite
+def factorization_and_moves(draw):
+    """A factorization of genus 1-3, a second one to fiber-sum it with,
+    and the parameters of a global conjugation, a rotation and some
+    Hurwitz moves."""
+    genus = draw(st.integers(1, 3))
+    labels = standard_surface(genus).labels
+    cycles = st.lists(curves(genus, max_conj=3), min_size=2, max_size=5)
+    prefix = st.lists(st.tuples(st.sampled_from(labels),
+                                st.sampled_from((1, -1))), max_size=3)
+    f = Factorization(genus, tuple(draw(cycles)))
+    other = Factorization(genus, tuple(draw(cycles)))
+    return f, other, draw(prefix), draw(st.integers(0, 4)), draw(hurwitz_moves)
+
+
+@given(factorization_and_moves())
+def test_classes_are_the_cycle_classes_of_every_moved_word(drawn):
+    f, other, prefix, k, moves = drawn
+    seen = (hash(f), repr(f), serialize_factorization(f))
+    assert f.classes == tuple(curve_class(c, f.genus) for c in f.cycles)
+    # The cached classes are not a field: reading them changes nothing
+    # that equality, hashing, repr or the file format see.
+    twin = Factorization(f.genus, f.cycles)
+    assert f == twin and hash(f) == hash(twin)
+    assert (hash(f), repr(f), serialize_factorization(f)) == seen
+    # Words made from f after its classes are cached get their own.
+    moved = [global_conjugate(f, prefix), rotate(f, k), fiber_sum(f, other)]
+    moved += [hurwitz_move(f, i % (len(f) - 1), d) for i, d in moves]
+    for g in moved:
+        assert g.classes == tuple(curve_class(c, g.genus) for c in g.cycles)
 
 
 @given(st.lists(genus2_curves, max_size=5), st.integers(0, 3))
