@@ -119,7 +119,8 @@ def _cmd_sub_chain(args: argparse.Namespace) -> int:
 
 def _cmd_transitivity(args: argparse.Namespace) -> int:
     f = _load(args.src)
-    primes = tuple(int(p) for p in args.primes.split(","))
+    # A repeated prime is reported once, at its first place in the list.
+    primes = tuple(dict.fromkeys(int(p) for p in args.primes.split(",")))
     generators = [symplectic.transvection(c) for c in f.classes]
     certificate = symplectic.transitivity_certificate(generators, primes)
     for entry in certificate.entries:

@@ -8,10 +8,14 @@ transvections to a class with ``surface.algebraic_intersection``, and
 every homology action is built from it: column k of a product's matrix
 is e_k pushed through its classes, and m is symplectic when its columns
 pair like the basis, <m e_i, m e_j> = <e_i, e_j>, that is m^T J m = J.
-Everything here works for arbitrary genus except ``mod_p_closure`` and
-``acts_transitively_mod_p``: genus 2, p in {2, 3, 5}, and generators
-symplectic mod p, so the group lies in Sp(4, Z/p) and the stabilizer
-chain stops once its proved order reaches |Sp(4, Z/p)|.
+Everything here works for arbitrary genus except ``mod_p_closure``:
+genus 2, p in {2, 3, 5}, and generators symplectic mod p, so the group
+lies in Sp(4, Z/p) and the stabilizer chain stops once its proved order
+reaches |Sp(4, Z/p)|.  The group acts linearly on (Z/p)^4, and a linear
+map that fixes a basis is the identity, so the chain's base is the basis
+e1, e2, e3, e4 for every group: an element is sifted on the images of
+those four vectors alone, and it is the identity exactly when the sift
+fixes all four.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from math import prod
+from operator import itemgetter
 
 from . import intlinalg
 from .intlinalg import Matrix, identity_matrix
@@ -101,13 +106,18 @@ def _vector_permutation(m: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
 
 def _mul(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """Product of permutations, g acting first."""
-    return tuple(map(h.__getitem__, g))
+    # One itemgetter call looks all of g up in h in C, several times
+    # faster than mapping h.__getitem__ over g.
+    return itemgetter(*g)(h)
 
 
 def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
-    # Sorting g's own entries, rather than a fresh range, reuses its int
-    # objects, which keeps the chain's memory down at p = 5.
-    return tuple(sorted(g, key=g.__getitem__))
+    # Filling the inverse with g's own entries, rather than a fresh range,
+    # reuses its int objects, which keeps the chain's memory down at p = 5.
+    inverse = list(g)
+    for x in g:
+        inverse[g[x]] = x
+    return tuple(inverse)
 
 
 def _orbit(tree: dict, perms: Sequence[tuple[int, ...]]) -> dict:
@@ -128,22 +138,34 @@ def _orbit(tree: dict, perms: Sequence[tuple[int, ...]]) -> dict:
     return tree
 
 
-def _chain_order(perms: Sequence[tuple[int, ...]], n: int, bound: int) -> int:
+def _chain_order(perms: Sequence[tuple[int, ...]], p: int, bound: int) -> int:
     """Order of the group generated by ``perms``, distinct nontrivial
-    permutations of n points, from a base and strong generating set built
-    by deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, section 4.4): the Schreier generators of
-    each level are sifted through the levels below it; a residue that
-    does not sift becomes a strong generator of every level down to the
-    one where it stopped, and processing resumes there.
+    linear maps of (Z/p)^4 as permutations of the vector codes, from a
+    stabilizer chain built by deterministic Schreier-Sims (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, section 4.4).
+
+    The base is the basis e1, e2, e3, e4, with codes p^3, p^2, p, 1: a
+    linear map that fixes a basis is the identity, so it is a base of
+    every such group and is never extended; a level may keep a trivial
+    orbit.  A Schreier generator  u_beta s u_gamma^-1  of level i fixes
+    e1..e(i+1), and it is sifted on the images of the four base points
+    alone, one point lookup each per level: it is the identity exactly
+    when the sift reaches the end.  Generators along the orbit tree's own
+    edges are the identity by construction and are skipped.  Only a
+    residue that does not sift is formed as a full permutation; it
+    becomes a strong generator of every level from i + 1 to the one
+    where it stopped, and processing resumes there.
 
     ``bound`` must be an upper bound on the group's order.  Each partial
     basic orbit lies inside the true orbit of its level's stabilizer, so
     the product of their lengths is a lower bound; once it reaches
     ``bound`` the chain is complete and the remaining Schreier generators
     are not sifted (Holt, Eick and O'Brien, section 4.5)."""
-    ident = tuple(range(n))
-    base, gens, trees, cosets = [], [], [], []
+    ident = tuple(range(p**4))
+    base = (p**3, p**2, p, 1)
+    gens = [[] for _ in base]
+    trees = [{b: None} for b in base]
+    cosets = [{b: (ident, ident)} for b in base]
 
     def coset(i, beta):
         """The transversal element of level i carrying base[i] to beta,
@@ -155,20 +177,7 @@ def _chain_order(perms: Sequence[tuple[int, ...]], n: int, bound: int) -> int:
             pair = cosets[i][beta] = (u, _inverse(u))
         return pair
 
-    def sift(h, i):
-        for i in range(i, len(base)):
-            beta = h[base[i]]
-            if beta not in trees[i]:
-                return h, i
-            h = _mul(h, coset(i, beta)[1])
-        return h, len(base)
-
     def add(h, first, last):
-        if last == len(base):
-            base.append(next(x for x in ident if h[x] != x))
-            gens.append([])
-            trees.append({base[-1]: None})
-            cosets.append({base[-1]: (ident, ident)})
         for level in range(first, last + 1):
             gens[level].append(h)
             _orbit(trees[level], gens[level])
@@ -176,14 +185,23 @@ def _chain_order(perms: Sequence[tuple[int, ...]], n: int, bound: int) -> int:
     def residue(i):
         """The first Schreier generator of level i that does not sift
         through the levels below, with the level where it stopped."""
-        for beta in trees[i]:
+        tree = trees[i]
+        for beta in tree:
+            u = coset(i, beta)[0]
             for s in gens[i]:
-                us = _mul(coset(i, beta)[0], s)
-                u, u_inv = coset(i, s[beta])
-                if us != u:
-                    h, j = sift(_mul(us, u_inv), i + 1)
-                    if h != ident:
+                gamma = s[beta]
+                if tree[gamma] == (beta, s):
+                    continue
+                u_inv = coset(i, gamma)[1]
+                images = [u_inv[s[u[b]]] for b in base]
+                for j in range(i + 1, len(base)):
+                    if images[j] not in trees[j]:
+                        h = _mul(_mul(u, s), u_inv)
+                        for k in range(i + 1, j):
+                            h = _mul(h, coset(k, h[base[k]])[1])
                         return h, j
+                    c_inv = coset(j, images[j])[1]
+                    images = [c_inv[x] for x in images]
         return None
 
     for g in perms:
@@ -237,7 +255,7 @@ def mod_p_closure(
     distinct = _distinct_generators(generators, p)
     perms = [_vector_permutation(g, p) for g in distinct]
     full = symplectic_group_order(2, p)
-    return ClosureReport(p, _chain_order(perms, p**4, full))
+    return ClosureReport(p, _chain_order(perms, p, full))
 
 
 @dataclass(frozen=True)
@@ -270,15 +288,3 @@ def transitivity_certificate(
         tuple(mod_p_closure(generators, p) for p in primes)
     )
 
-
-def acts_transitively_mod_p(
-    generators: Sequence[Sequence[Sequence[int]]], p: int
-) -> bool:
-    """Whether the generated group moves the first basis vector onto
-    every nonzero vector of (Z/p)^4; the generators are checked as for
-    ``mod_p_closure``."""
-    distinct = _distinct_generators(generators, p)
-    perms = [_vector_permutation(g, p) for g in distinct]
-    # e1 = (1, 0, 0, 0) has code p^3: its first coordinate is the most
-    # significant digit.
-    return len(_orbit({p**3: None}, perms)) == p**4 - 1

@@ -3,8 +3,8 @@
 The package itself never multiplies matrices or takes determinants: its
 homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
-references: products, determinants, the pairing's matrix J, and the
-symplectic condition m^T J m = J.
+references: products, determinants, the pairing's matrix J, the
+symplectic condition m^T J m = J, and the orbit of e1 mod p.
 """
 
 from collections.abc import Sequence
@@ -70,3 +70,23 @@ def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
         return False
     j = pairing_matrix(n // 2)
     return mat_mul(mat_mul(transpose(m), j), m) == j
+
+
+def acts_transitively_mod_p(generators: Sequence[Sequence[Sequence[int]]],
+                            p: int) -> bool:
+    """Whether the matrices move e1 onto every nonzero vector of (Z/p)^n:
+    a breadth-first orbit of e1, one ``mat_vec`` per step, reduced mod p."""
+    n = len(generators[0])
+    start = (1,) + (0,) * (n - 1)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in generators:
+                w = tuple(x % p for x in mat_vec(g, v))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(seen) == p**n - 1

@@ -35,12 +35,8 @@ from lefschetz.monodromy import (
     standard_lantern,
 )
 from lefschetz.surface import algebraic_intersection, standard_surface
-from lefschetz.symplectic import (
-    acts_transitively_mod_p,
-    mod_p_closure,
-    transvection,
-)
-from reference import mat_vec
+from lefschetz.symplectic import mod_p_closure, transvection
+from reference import acts_transitively_mod_p, mat_vec
 
 import pytest
 

@@ -163,6 +163,15 @@ def test_transitivity_output(capsys):
     assert "verdict: consistent with transitive" in out
 
 
+def test_transitivity_reports_a_repeated_prime_once(capsys):
+    assert main(["transitivity", "catalog:chakiris-gamma",
+                 "--primes", "3,2,3,2"]) == 0
+    assert capsys.readouterr().out == (
+        "p=3: closure order 51840 of 51840 (full)\n"
+        "p=2: closure order 720 of 720 (full)\n"
+        "verdict: consistent with transitive\n")
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError

@@ -11,14 +11,14 @@ from lefschetz.symplectic import (
     _column_pairings,
     _vector_permutation,
     ClosureReport,
-    acts_transitively_mod_p,
     mod_p_closure,
     symplectic_group_order,
     transitivity_certificate,
     transvection,
 )
 from reference import (
-    is_symplectic, mat_mul, mat_vec, pairing_matrix, transpose,
+    acts_transitively_mod_p, is_symplectic, mat_mul, mat_vec, pairing_matrix,
+    transpose,
 )
 
 
@@ -192,6 +192,44 @@ def test_catalog_closure_orders(name):
     assert orders == CATALOG_ORDERS[name]
 
 
+def test_catalog_closure_orders_survive_a_change_of_basis():
+    # Conjugating by a symplectic m moves every group off the standard
+    # basis without changing its order, and so does listing the
+    # generators in another order or more than once: a chain whose base
+    # were anything but a basis of (Z/p)^4 would miss elements here.
+    s = standard_surface(2)
+    rng = random.Random(20261021)
+    m = identity_matrix(4)
+    for _ in range(rng.randint(3, 12)):
+        m = mat_mul(m, transvection(s.class_of(rng.choice(s.labels))))
+    j = pairing_matrix(2)
+    # A symplectic m has inverse J^-1 m^T J = -J m^T J.
+    m_inv = tuple(tuple(-x for x in row)
+                  for row in mat_mul(mat_mul(j, transpose(m)), j))
+    assert is_identity_matrix(mat_mul(m, m_inv))
+    for name, orders in sorted(CATALOG_ORDERS.items()):
+        gens = [mat_mul(mat_mul(m_inv, transvection(c)), m)
+                for c in get_factorization(name).classes]
+        shuffled = rng.sample(gens, len(gens)) + rng.choices(gens, k=3)
+        for variant in (gens, shuffled):
+            assert tuple(mod_p_closure(variant, p).order
+                         for p in (2, 3, 5)) == orders, name
+
+
+def test_closure_matches_set_closure_on_small_groups_mod_five():
+    s = standard_surface(2)
+    twists = {label: transvection(s.class_of(label)) for label in s.labels}
+    assert mod_p_closure([twists["c1"], twists["c2"]], 5).order == 120
+    assert mod_p_closure([twists["c1"], twists["c5"]], 5).order == 25
+    cases = [[twists["c1"], twists["c2"]], [twists["c1"], twists["c5"]]]
+    # Products of two twists; their groups have 5 to 750 elements.
+    for pairs in (("c1c3", "c3c1"), ("c1c3", "c3c5"), ("c1c2", "c4c5"),
+                  ("c1c2", "c2c1"), ("c1c2", "c1c4"), ("c1c2", "c3c2")):
+        cases.append([mat_mul(twists[w[:2]], twists[w[2:]]) for w in pairs])
+    for gens in cases:
+        assert mod_p_closure(gens, 5).order == _set_closure_order(gens, 5)
+
+
 def test_vector_permutation_matches_per_vector_reference():
     rng = random.Random(20261018)
     for p in (2, 3, 5):
@@ -244,18 +282,15 @@ def test_transitivity_on_nonzero_vectors():
     assert not acts_transitively_mod_p([transvection(s.class_of("c1"))], 2)
 
 
-def test_transitivity_on_nonzero_vectors_needs_a_generator():
+def test_mod_p_closure_needs_a_generator():
     with pytest.raises(ValueError, match="need at least one generator"):
-        acts_transitively_mod_p([], 3)
+        mod_p_closure([], 3)
 
 
-def test_transitivity_on_nonzero_vectors_checks_its_generators():
+def test_mod_p_closure_checks_its_generators():
     with pytest.raises(ValueError, match="genus 2 only"):
-        acts_transitively_mod_p([identity_matrix(4), identity_matrix(6)], 3)
+        mod_p_closure([identity_matrix(4), identity_matrix(6)], 3)
     with pytest.raises(ValueError, match="genus 2 only"):
-        acts_transitively_mod_p([((1, 0, 0, 0), (0, 1, 0, 0))], 3)
+        mod_p_closure([((1, 0, 0, 0), (0, 1, 0, 0))], 3)
     with pytest.raises(ValueError, match="limited to 2, 3, and 5"):
-        acts_transitively_mod_p(_chain_transvections(), 7)
-    scaled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    with pytest.raises(ValueError, match="not symplectic mod 3"):
-        acts_transitively_mod_p([scaled], 3)
+        mod_p_closure(_chain_transvections(), 7)
