@@ -32,7 +32,6 @@ from .monodromy import (
     global_conjugate,
     hurwitz_move,
     identity_check,
-    is_separating,
     lantern_substitute,
     ns_type,
     rotate,
@@ -118,7 +117,6 @@ __all__ = [
     "identity_endo",
     "indecomposability_check",
     "invariant_report",
-    "is_separating",
     "lantern_substitute",
     "mod_p_closure",
     "ns_type",

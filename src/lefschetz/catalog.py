@@ -146,11 +146,6 @@ def entry(name: str) -> CatalogEntry:
         raise KeyError(f"no catalog entry named {name!r}") from None
 
 
-def names() -> tuple[str, ...]:
-    """Every entry name, in catalog order."""
-    return tuple(e.name for e in _ENTRIES)
-
-
 def list_entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 

@@ -131,7 +131,6 @@ class FamilyReport:
     b2_minus: int
     signature: int
     euler: int
-    indecomposable: bool
 
 
 def family_invariants(k: int) -> FamilyReport:
@@ -149,10 +148,7 @@ def family_invariants(k: int) -> FamilyReport:
     plus = b2plus(n, s, b1)
     sigma = -(3 * n + s) // 5
     euler = n + s - 4
-    indecomposable = indecomposability_check(n, s).certified
-    return FamilyReport(
-        k, n, s, b1, b2, plus, b2 - plus, sigma, euler, indecomposable
-    )
+    return FamilyReport(k, n, s, b1, b2, plus, b2 - plus, sigma, euler)
 
 
 @dataclass(frozen=True)
@@ -164,10 +160,6 @@ class IndecomposabilityReport:
     verdict: str
     reason: str
     splits: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "indecomposable"
 
 
 def indecomposability_check(n: int, s: int) -> IndecomposabilityReport:

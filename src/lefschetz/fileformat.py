@@ -9,6 +9,11 @@ negative one, so "t3" and "T3" are the two twists about the third chain
 curve and "s1"/"S1" those about the standard separating curve).  The
 twist list is written in application order: the first record acts first.
 
+The parser checks only the document's shape: valid JSON, an object, a
+``twists`` list of records, string labels and well-formed tokens.  The
+rules of a word (the genus, the labels that exist at that genus, the
+token signs) are checked once, by ``Factorization``.
+
 The serializer emits one twist record per line, so catalog data files
 diff cleanly, and parse(serialize(f)) returns f exactly.  The format
 holds factorizations only; the registered lantern relation is defined
@@ -21,7 +26,6 @@ import json
 from typing import Any
 
 from .monodromy import Curve, Factorization, parse_token, token_string
-from .surface import standard_surface
 
 
 class ParseError(ValueError):
@@ -42,19 +46,18 @@ def _load_document(text: str) -> Any:
         raise ParseError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:
+        raise ParseError("document nests too deeply") from err
+    except ValueError as err:  # e.g. an integer past the digit limit
+        raise ParseError(str(err)) from err
 
 
-def _parse_twist(record: Any, index: int, genus: int) -> Curve:
+def _parse_twist(record: Any, index: int) -> Curve:
     if not isinstance(record, dict):
         raise ParseError(f"twist {index}: expected an object, got {record!r}")
     base = record.get("base")
     if not isinstance(base, str):
         raise ParseError(f"twist {index}: missing or non-string 'base'")
-    surf = standard_surface(genus)
-    if base not in surf.labels:
-        raise ParseError(
-            f"twist {index}: unknown curve label {base!r} for genus {genus}"
-        )
     raw_conj = record.get("conj", [])
     if not isinstance(raw_conj, list):
         raise ParseError(f"twist {index}: 'conj' must be a list of tokens")
@@ -63,37 +66,26 @@ def _parse_twist(record: Any, index: int, genus: int) -> Curve:
         if not isinstance(tok, str):
             raise ParseError(f"twist {index}: non-string conjugator token {tok!r}")
         try:
-            label, sign = parse_token(tok)
+            conj.append(parse_token(tok))
         except ValueError as err:
             raise ParseError(f"twist {index}: {err}") from err
-        if label not in surf.labels:
-            raise ParseError(
-                f"twist {index}: conjugator token {tok!r} names no curve "
-                f"at genus {genus}"
-            )
-        conj.append((label, sign))
     return Curve(base, tuple(conj))
 
 
 def parse_factorization(text: str) -> Factorization:
-    """Parse a factorization document; errors carry their location."""
+    """Parse a factorization document; errors carry their location.
+    ``Factorization``'s own rule errors come back as ``ParseError``."""
     doc = _load_document(text)
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
-    # ``type(...) is int`` rejects JSON booleans, which load as bools.
-    genus = doc.get("genus")
-    if type(genus) is not int or genus < 1:
-        raise ParseError("'genus' must be a positive integer")
-    base_genus = doc.get("base_genus", 0)
-    if type(base_genus) is not int or base_genus < 0:
-        raise ParseError("'base_genus' must be a nonnegative integer")
     twists = doc.get("twists")
     if not isinstance(twists, list):
         raise ParseError("'twists' must be a list")
-    cycles = tuple(
-        _parse_twist(record, i, genus) for i, record in enumerate(twists)
-    )
-    return Factorization(genus, cycles, base_genus)
+    cycles = tuple(_parse_twist(record, i) for i, record in enumerate(twists))
+    try:
+        return Factorization(doc.get("genus"), cycles, doc.get("base_genus", 0))
+    except ValueError as err:
+        raise ParseError(str(err)) from err
 
 
 def _twist_line(curve: Curve) -> str:

@@ -24,8 +24,6 @@ from collections.abc import Iterable, Sequence
 Word = tuple[int, ...]
 Endo = tuple[Word, ...]
 
-GENUS2_RANK = 4
-
 
 def free_reduce(letters: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
@@ -65,25 +63,6 @@ def cyclic_split(word: Sequence[int]) -> tuple[Word, Word]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
-
-
-def cyclic_reduce(word: Sequence[int]) -> Word:
-    return cyclic_split(word)[0]
-
-
-def cyclic_normal_form(word: Sequence[int]) -> Word:
-    """Lexicographically least rotation of the cyclic reduction."""
-    w = cyclic_reduce(word)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def same_loop(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True when the two words trace the same unoriented free loop,
-    i.e. agree up to conjugation and inversion."""
-    nu = cyclic_normal_form(u)
-    return nu == cyclic_normal_form(v) or nu == cyclic_normal_form(inverse(v))
 
 
 def abelianize(word: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -134,10 +113,6 @@ def compose(outer: Endo, inner: Endo) -> Endo:
             out.extend(piece[k:])
         images.append(tuple(out))
     return tuple(images)
-
-
-def is_identity(images: Endo) -> bool:
-    return all(im == (i + 1,) for i, im in enumerate(images))
 
 
 def is_inner(images: Endo) -> Word | None:
@@ -210,8 +185,6 @@ TWIST_IMAGES: dict[tuple[str, int], Endo] = {
         (4,),
     ),
 }
-
-TWIST_LABELS = ("c1", "c2", "c3", "c4", "c5", "s1")
 
 
 def twist_endo(label: str, sign: int = 1) -> Endo:

@@ -121,14 +121,6 @@ class AbelianGroup:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
-
 
 def quotient_by_rows(
     relations: Sequence[Sequence[int]], rank: int

@@ -89,24 +89,31 @@ class Factorization:
     base_genus: int = 0
 
     def __post_init__(self) -> None:
-        # ``type(...) is int`` rejects booleans, as the file parser does.
+        """The one check of a word's rules; messages name the twist index
+        and the label or token as written."""
+        # ``type(...) is int`` rejects booleans, which JSON loads as bools.
         if type(self.genus) is not int or self.genus < 1:
             raise ValueError("fiber genus must be a positive integer")
         if type(self.base_genus) is not int or self.base_genus < 0:
             raise ValueError("base genus must be a nonnegative integer")
-        surf = standard_surface(self.genus)
-        for curve in self.cycles:
-            if curve.base not in surf.labels:
+        known = standard_surface(self.genus).curve_classes
+        for i, curve in enumerate(self.cycles):
+            if not isinstance(curve.base, str) or curve.base not in known:
                 raise ValueError(
-                    f"unknown curve label {curve.base!r} at genus {self.genus}"
+                    f"twist {i}: unknown curve label {curve.base!r} "
+                    f"at genus {self.genus}"
                 )
             for label, sign in curve.conj:
-                if label not in surf.labels:
+                if not isinstance(label, str) or sign not in (1, -1):
                     raise ValueError(
-                        f"unknown twist label {label!r} at genus {self.genus}"
+                        f"twist {i}: malformed twist token {(label, sign)!r}"
                     )
-                if sign not in (1, -1):
-                    raise ValueError("twist token sign must be +1 or -1")
+                if label not in known:
+                    raise ValueError(
+                        f"twist {i}: conjugator token "
+                        f"{token_string((label, sign))!r} names no curve "
+                        f"at genus {self.genus}"
+                    )
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -126,11 +133,6 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     steps = ((surf.class_of(label), sign)
              for label, sign in reversed(curve.conj))
     return symplectic.push_class(surf.class_of(curve.base), steps)
-
-
-def is_separating(curve: Curve, genus: int) -> bool:
-    """A simple closed curve separates iff it is null-homologous."""
-    return all(v == 0 for v in curve_class(curve, genus))
 
 
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:

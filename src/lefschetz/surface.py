@@ -10,7 +10,9 @@ built from it (see :mod:`lefschetz.symplectic`).  The chain curves are
 labeled ``c1 .. c{2g+1}``; odd ones carry class ``a_{i-1} + a_i`` (ends
 of the chain degenerate to a single ``a``), even ones carry ``b_i``.
 The curve ``s_h`` separates the first h handles from the rest and is
-null homologous.
+null homologous.  The labels are the keys of the class table, in label
+order ``c1 .. c{2g+1}, s1 .. s{g-1}``; ``standard_surface`` is the one
+place that spells them out.
 
 At genus 2 a based free-group word is recorded for every labeled
 curve, in the letters of :mod:`lefschetz.freegroup`.  Those words are
@@ -35,21 +37,8 @@ class Surface:
     curve_words: dict[str, Word] = field(repr=False)
 
     @property
-    def rank(self) -> int:
-        """Rank of first homology, 2g."""
-        return 2 * self.genus
-
-    @property
-    def chain_labels(self) -> tuple[str, ...]:
-        return tuple(f"c{i}" for i in range(1, 2 * self.genus + 2))
-
-    @property
-    def separating_labels(self) -> tuple[str, ...]:
-        return tuple(f"s{h}" for h in range(1, self.genus))
-
-    @property
     def labels(self) -> tuple[str, ...]:
-        return self.chain_labels + self.separating_labels
+        return tuple(self.curve_classes)
 
     def class_of(self, label: str) -> tuple[int, ...]:
         return self.curve_classes[label]
@@ -91,21 +80,13 @@ def standard_surface(genus: int) -> Surface:
         return tuple(v)
 
     record_words = genus == 2
-    for i in range(1, genus + 2):
-        label = f"c{2 * i - 1}"
-        letters = []
-        if i > 1:
-            letters.append(2 * (i - 1) - 1)
-        if i <= genus:
-            letters.append(2 * i - 1)
-        classes[label] = basis_vector(*letters)
+    for i in range(1, rank + 2):
+        # odd c_{2k-1} carries a_{k-1} + a_k (one a at the chain's ends),
+        # even c_{2k} carries b_k
+        letters = tuple(x for x in (i - 2, i) if 0 < x < rank) if i % 2 else (i,)
+        classes[f"c{i}"] = basis_vector(*letters)
         if record_words:
-            words[label] = tuple(letters)
-    for i in range(1, genus + 1):
-        label = f"c{2 * i}"
-        classes[label] = basis_vector(2 * i)
-        if record_words:
-            words[label] = (2 * i,)
+            words[f"c{i}"] = letters
     for h in range(1, genus):
         label = f"s{h}"
         classes[label] = (0,) * rank

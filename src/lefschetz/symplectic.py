@@ -281,7 +281,7 @@ class TransitivityCertificate:
 
 def transitivity_certificate(
     generators: Sequence[Sequence[Sequence[int]]],
-    primes: Sequence[int] = (2, 3, 5),
+    primes: Sequence[int],
 ) -> TransitivityCertificate:
     """Run the mod-p closure at each prime and bundle the reports."""
     return TransitivityCertificate(

@@ -4,7 +4,9 @@ The package itself never multiplies matrices or takes determinants: its
 homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
 references: products, determinants, the pairing's matrix J, the
-symplectic condition m^T J m = J, and the orbit of e1 mod p.
+symplectic condition m^T J m = J, and the orbit of e1 mod p.  One
+free-group reference sits beside them: ``same_loop``, conjugacy up to
+inversion by comparing every rotation of the cyclic reductions.
 """
 
 from collections.abc import Sequence
@@ -90,3 +92,26 @@ def acts_transitively_mod_p(generators: Sequence[Sequence[Sequence[int]]],
                     nxt.append(w)
         frontier = nxt
     return len(seen) == p**n - 1
+
+
+def _cyclic_core(word: Sequence[int]) -> tuple[int, ...]:
+    """Free reduction, then the matching ends peeled off pairwise."""
+    w: list[int] = []
+    for x in word:
+        if w and w[-1] == -x:
+            w.pop()
+        else:
+            w.append(x)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+def same_loop(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether two free-group words trace the same unoriented free loop:
+    some rotation of u's cyclic core equals v's core or its inverse."""
+    cu, cv = _cyclic_core(u), _cyclic_core(v)
+    if len(cu) != len(cv):
+        return False
+    targets = (cv, tuple(-x for x in reversed(cv)))
+    return any(cu[i:] + cu[:i] in targets for i in range(max(len(cu), 1)))

@@ -6,8 +6,9 @@ from lefschetz.monodromy import Factorization, LanternInstance, ns_type
 
 
 def test_names_and_entries_align():
-    names = catalog.names()
-    assert names == tuple(e.name for e in catalog.list_entries())
+    names = tuple(e.name for e in catalog.list_entries())
+    assert len(set(names)) == len(names)
+    assert all(catalog.entry(n).name == n for n in names)
     assert "chakiris-gamma" in names
     assert "lantern-std" in names
 
@@ -35,7 +36,8 @@ def test_factorizations_have_expected_types():
 
 
 def test_every_entry_verifies():
-    failures = [n for n in catalog.names() if not catalog.verify(n)]
+    names = [e.name for e in catalog.list_entries()]
+    failures = [n for n in names if not catalog.verify(n)]
     assert failures == []
 
 

@@ -71,7 +71,7 @@ def test_family_invariants_on_the_sharp_line():
 
 def test_indecomposability_on_and_off_the_line():
     cert = indecomposability_check(4, 3)
-    assert cert.certified
+    assert cert.verdict == "indecomposable"
     split = indecomposability_check(12, 4)
     assert split.verdict == "inconclusive"
     assert ((6, 2), (6, 2)) in split.splits

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lefschetz.catalog import get_factorization
@@ -52,7 +54,40 @@ def test_parse_errors_carry_positions():
         )
     # JSON booleans load as Python bools, which are ints
     for doc in ('{"genus": true, "twists": [{"base": "c1"}]}',
-                '{"genus": 2, "base_genus": false, "twists": []}'):
+                '{"genus": 2, "base_genus": false, "twists": []}',
+                '{"genus": 0, "twists": []}',
+                '{"genus": 2, "base_genus": -1, "twists": []}'):
         with pytest.raises(ParseError, match="genus"):
             parse_factorization(doc)
 
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_factorization("[" * 100000)
+
+
+def test_overlong_integer_is_a_parse_error():
+    with pytest.raises(ParseError, match="digit"):
+        parse_factorization('{"genus": ' + "1" * 5000 + ', "twists": []}')
+
+
+def _one_twist(genus, base, conj=()):
+    record = {"base": base, "conj": list(conj)}
+    return json.dumps({"genus": genus, "twists": [{"base": "c1"}, record]})
+
+
+@pytest.mark.parametrize("text, named", [
+    (_one_twist(2, "c9"), "'c9'"),
+    (_one_twist(2, "s2"), "'s2'"),
+    (_one_twist(2, "c7"), "'c7'"),
+    (_one_twist(1, "s1"), "'s1'"),
+    (_one_twist(2, "c1", ["t9"]), "'t9'"),
+    (_one_twist(2, "c1", ["t1", "S2"]), "'S2'"),
+    (_one_twist(2, "c1", ["T01"]), "'T01'"),
+    (_one_twist(1, "c1", ["t4"]), "'t4'"),
+])
+def test_rule_errors_name_the_twist_and_the_label_as_written(text, named):
+    with pytest.raises(ParseError) as err:
+        parse_factorization(text)
+    assert str(err.value).startswith("twist 1: ")
+    assert named in str(err.value)

@@ -67,5 +67,3 @@ def test_abelian_group_str():
     assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup(2)) == "Z + Z"
     assert str(AbelianGroup(1, (2, 6))) == "Z + Z/2 + Z/6"
-    assert AbelianGroup(2).is_free
-    assert not AbelianGroup(0, (2,)).is_trivial

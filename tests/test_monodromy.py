@@ -18,7 +18,6 @@ from lefschetz.monodromy import (
     global_conjugate,
     hurwitz_move,
     identity_check,
-    is_separating,
     lantern_substitute,
     ns_type,
     parse_token,
@@ -30,6 +29,7 @@ from lefschetz.monodromy import (
 )
 from lefschetz import catalog
 from lefschetz.catalog import get_factorization
+from reference import same_loop
 
 
 def chain_word():
@@ -55,10 +55,10 @@ def test_curve_classes():
 
 
 def test_separating_classification():
-    assert is_separating(Curve("s1"), 2)
-    assert not is_separating(Curve("c3"), 2)
-    assert is_separating(Curve("s1", (("c1", -1),)), 2)
-    assert not is_separating(Curve("c5"), 2)
+    assert not any(curve_class(Curve("s1"), 2))
+    assert any(curve_class(Curve("c3"), 2))
+    assert not any(curve_class(Curve("s1", (("c1", -1),)), 2))
+    assert any(curve_class(Curve("c5"), 2))
 
 
 def test_curves_equal_reduces_conjugators():
@@ -103,7 +103,7 @@ def test_identity_check_exact_reports_conjugator():
     assert report.passed
     assert report.conjugator is not None
     # the composite is conjugation by the inverse surface relator
-    assert fg.same_loop(report.conjugator, fg.inverse(fg.boundary_word(2)))
+    assert same_loop(report.conjugator, fg.inverse(fg.boundary_word(2)))
 
 
 def test_identity_check_rejects_unknown_level():
@@ -162,7 +162,7 @@ def test_standard_lantern_verifies():
     assert instance.verify()
     assert len(instance.boundary) == 4
     assert len(instance.interior) == 3
-    assert sum(is_separating(c, 2) for c in instance.interior) == 1
+    assert sum(not any(curve_class(c, 2)) for c in instance.interior) == 1
 
 
 def test_lantern_verify_rejects_a_separating_boundary_curve():
@@ -222,7 +222,7 @@ def test_composite_endo_matches_reference_fold_on_the_catalog():
     # the reference fold lives with the property tests, which need hypothesis
     from test_properties import reference_composite
 
-    entries = [catalog.get(name) for name in catalog.names()]
+    entries = [catalog.get(e.name) for e in catalog.list_entries()]
     words = [f for f in entries if isinstance(f, Factorization) and f.genus == 2]
     assert len(words) == 9
     for f in words:
@@ -237,3 +237,15 @@ def test_factorization_validates_genus():
     for genus, base_genus in ((0, 0), (True, 0), (2, True), (2, False)):
         with pytest.raises(ValueError):
             Factorization(genus, (Curve("c1"),), base_genus)
+
+
+def test_factorization_errors_name_the_twist():
+    with pytest.raises(ValueError, match=r"^twist 1: unknown curve label 'c9'"):
+        Factorization(2, (Curve("c1"), Curve("c9")))
+    with pytest.raises(ValueError, match=r"^twist 0: conjugator token 'T6'"):
+        Factorization(2, (Curve("c1", (("c6", -1),)),))
+    for bad in (("c2", 2), (1, 1)):
+        with pytest.raises(ValueError, match=r"^twist 2: malformed twist token"):
+            Factorization(2, (Curve("c1"), Curve("c2"), Curve("c1", (bad,))))
+    with pytest.raises(ValueError, match=r"^twist 0: unknown curve label \['c1'\]"):
+        Factorization(2, (Curve(["c1"]),))

@@ -1,13 +1,21 @@
 """Property tests of the exact and homology verdicts against the plain
-algorithms they replace, which are kept here as references."""
+algorithms they replace, which are kept here as references, and of the
+file parser against the one validator, ``Factorization``."""
+
+import json
+import re
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lefschetz import freegroup as fg
-from lefschetz.fileformat import parse_factorization, serialize_factorization
+from lefschetz.fileformat import (
+    ParseError,
+    parse_factorization,
+    serialize_factorization,
+)
 from lefschetz.intlinalg import identity_matrix
 from lefschetz.monodromy import (
     Curve,
@@ -27,7 +35,7 @@ from lefschetz.surface import standard_surface
 from lefschetz.symplectic import evaluate_classes, transvection
 from reference import mat_mul, mat_vec
 
-RANK = fg.GENUS2_RANK
+RANK = 4
 LETTERS = [s * g for g in range(1, RANK + 1) for s in (1, -1)]
 
 
@@ -37,7 +45,8 @@ def words(max_size):
     )
 
 
-tokens = st.tuples(st.sampled_from(fg.TWIST_LABELS), st.sampled_from((1, -1)))
+tokens = st.tuples(st.sampled_from(standard_surface(2).labels),
+                   st.sampled_from((1, -1)))
 
 
 def conjugation(w):
@@ -274,3 +283,81 @@ def test_compose_matches_plain_substitution(outer, inner, word):
     assert fg.compose(a, b) == plain_compose(a, b)
     # the word need not be reduced; the images are
     assert fg.apply_endo(a, word) == plain_compose(a, (tuple(word),))[0]
+
+
+# Parser fuzzing: values of the right and the wrong JSON type for every
+# slot, keys left out, labels and tokens that exist at some genera and
+# not at others, and tokens of valid and invalid form.
+ABSENT = object()  # marks a key left out of its object
+WRONG = st.sampled_from([None, 0, 1.5, True, "c1", [], {}])
+GENERA = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, -1, 101,
+                          True, False, "2", 2.0, None, ABSENT])
+LABELS = st.sampled_from(["c1", "c2", "c3", "c4", "c5", "s1", "c7", "s2",
+                          "c9", "c0", "C1", "t1", "", ABSENT])
+TOKENS = st.sampled_from(["t1", "T2", "t3", "T4", "t5", "s1", "S1", "T7",
+                          "s2", "t9", "T01", "t0", "c1", "t", "t-1", "s 1"])
+
+
+def mostly(valid, wrong=WRONG):
+    """``valid`` four draws in five, a value of the wrong type otherwise."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else wrong)
+
+
+def json_object(**fields):
+    return st.fixed_dictionaries(fields).map(
+        lambda d: {k: v for k, v in d.items() if v is not ABSENT})
+
+
+RECORDS = mostly(json_object(
+    base=mostly(LABELS),
+    conj=mostly(st.lists(mostly(TOKENS), max_size=2), WRONG | st.just(ABSENT)),
+))
+DOCUMENTS = mostly(json_object(
+    genus=GENERA,
+    base_genus=GENERA,
+    twists=mostly(st.lists(RECORDS, max_size=3)),
+))
+TOKEN_FORM = re.compile(r"([tTsS])([0-9]+)")
+
+
+def spelled_curves(twists):
+    """The curves a twist list of valid shape spells, or None when its
+    shape is wrong; the token form is read here by a regular expression."""
+    if not isinstance(twists, list):
+        return None
+    curves = []
+    for record in twists:
+        if not isinstance(record, dict) or not isinstance(record.get("base"), str):
+            return None
+        conj = record.get("conj", [])
+        if not isinstance(conj, list):
+            return None
+        signed = []
+        for tok in conj:
+            form = isinstance(tok, str) and TOKEN_FORM.fullmatch(tok)
+            if not form:
+                return None
+            head, index = form.groups()
+            label = ("c" if head in "tT" else "s") + index
+            signed.append((label, 1 if head.islower() else -1))
+        curves.append(Curve(record["base"], tuple(signed)))
+    return tuple(curves)
+
+
+@settings(max_examples=500)  # cheap examples; rare shape faults need many
+@given(DOCUMENTS)
+def test_parser_accepts_exactly_what_factorization_accepts(doc):
+    curves = spelled_curves(doc.get("twists")) if isinstance(doc, dict) else None
+    try:
+        parsed = parse_factorization(json.dumps(doc))
+    except ParseError:
+        parsed = None
+    if curves is None:
+        assert parsed is None
+        return
+    try:
+        expected = Factorization(doc.get("genus"), curves,
+                                 doc.get("base_genus", 0))
+    except ValueError:
+        expected = None
+    assert parsed == expected

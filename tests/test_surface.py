@@ -26,9 +26,7 @@ def test_algebraic_intersection_bilinear():
 
 def test_standard_surface_labels():
     s = standard_surface(2)
-    assert s.rank == 4
-    assert s.chain_labels == ("c1", "c2", "c3", "c4", "c5")
-    assert s.separating_labels == ("s1",)
+    assert len(s.class_of("c1")) == 4
     assert s.labels == ("c1", "c2", "c3", "c4", "c5", "s1")
 
 
@@ -44,7 +42,7 @@ def test_standard_surface_classes():
 
 def test_chain_curve_classes_intersect_like_a_chain():
     s = standard_surface(2)
-    chain = [s.class_of(label) for label in s.chain_labels]
+    chain = [s.class_of(f"c{i}") for i in range(1, 6)]
     for i, u in enumerate(chain):
         for j, v in enumerate(chain):
             expected = 1 if j == i + 1 else -1 if j == i - 1 else 0
@@ -53,8 +51,7 @@ def test_chain_curve_classes_intersect_like_a_chain():
 
 def test_genus_three_has_seven_chain_curves():
     s = standard_surface(3)
-    assert len(s.chain_labels) == 7
-    assert s.separating_labels == ("s1", "s2")
+    assert s.labels == tuple(f"c{i}" for i in range(1, 8)) + ("s1", "s2")
     assert len(s.class_of("c1")) == 6
 
 
@@ -64,6 +61,15 @@ def test_genus_zero_rejected():
 
 
 def test_genus_above_one_hundred_rejected():
-    assert standard_surface(100).rank == 200
+    assert len(standard_surface(100).class_of("c1")) == 200
     with pytest.raises(ValueError, match="genus above 100"):
         standard_surface(101)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_labels_are_the_class_table_in_label_order(genus):
+    s = standard_surface(genus)
+    chain = tuple(f"c{i}" for i in range(1, 2 * genus + 2))
+    separating = tuple(f"s{h}" for h in range(1, genus))
+    assert s.labels == chain + separating
+    assert tuple(s.curve_classes) == s.labels
