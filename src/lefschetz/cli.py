@@ -296,9 +296,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileformat.ParseError, FileNotFoundError, IsADirectoryError,
-            KeyError, TypeError, IndexError, ValueError, OverflowError,
-            MemoryError, RecursionError) as exc:
+    except OSError as exc:  # str() names the path and why it cannot be used
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (fileformat.ParseError, KeyError, TypeError, IndexError,
+            ValueError, OverflowError, MemoryError, RecursionError) as exc:
         message = exc.args[0] if exc.args else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -205,6 +205,8 @@ def enumerate_types(n_max: int, s_max: int) -> list[NSReport]:
     """All admissible lattice points in the window, with known status."""
     if n_max > 100 or s_max > 100:
         raise ValueError("window bounds above 100 are not supported")
+    if n_max < 0 or s_max < 0:
+        raise ValueError("window bounds must be nonnegative")
     out = []
     for n in range(n_max + 1):
         for s in range(s_max + 1):

@@ -20,6 +20,7 @@ curves and their compositions), but only :func:`is_inner` relies on that.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import neg
 
 Word = tuple[int, ...]
 Endo = tuple[Word, ...]
@@ -39,7 +40,7 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 
 def inverse(word: Sequence[int]) -> Word:
-    return tuple(-x for x in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def concat(*words: Sequence[int]) -> Word:
@@ -96,20 +97,26 @@ def apply_endo(images: Endo, word: Sequence[int]) -> Word:
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
-    """Images of ``outer . inner`` (inner applied first).  Inverse images are
-    computed once; a reduced piece cancels only where it is glued on."""
+    """Images of ``outer . inner`` (inner applied first).  An inner image
+    that is one generator ``(i,)`` passes ``outer[i - 1]`` through; other
+    images glue reduced pieces (inverses computed once), which cancel only
+    at a junction, so each junction drops its cancelled letters at once."""
     inverses: dict[int, Word] = {}
     images = []
     for word in inner:
+        if len(word) == 1 and word[0] > 0:
+            images.append(outer[word[0] - 1])
+            continue
         out: list[int] = []
         for x in word:
             piece = outer[x - 1] if x > 0 else inverses.get(x)
             if piece is None:
                 piece = inverses[x] = inverse(outer[-x - 1])
-            k = 0
-            while k < len(piece) and out and out[-1] == -piece[k]:
-                out.pop()
+            k, m = 0, min(len(out), len(piece))
+            while k < m and out[-1 - k] == -piece[k]:
                 k += 1
+            if k:
+                del out[-k:]
             out.extend(piece[k:])
         images.append(tuple(out))
     return tuple(images)

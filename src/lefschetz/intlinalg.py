@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from operator import neg
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -125,13 +126,19 @@ class AbelianGroup:
 def quotient_by_rows(
     relations: Sequence[Sequence[int]], rank: int
 ) -> AbelianGroup:
-    """Z^rank modulo the subgroup spanned by the given relation rows."""
-    rows = [row for row in relations]
+    """Z^rank modulo the subgroup spanned by the given relation rows.
+
+    That span is the span of the distinct nonzero rows up to sign, so
+    only those (each as ``max(row, -row)``) go to the Smith normal form.
+    """
+    if any(len(row) != rank for row in relations):
+        raise ValueError("relation length does not match rank")
+    rows = dict.fromkeys(max(r, tuple(map(neg, r)))
+                         for r in map(tuple, relations))
+    rows.pop((0,) * rank, None)
     if not rows:
         return AbelianGroup(rank)
-    if any(len(row) != rank for row in rows):
-        raise ValueError("relation length does not match rank")
-    d, _, _ = smith_normal_form(rows)
+    d, _, _ = smith_normal_form(list(rows))
     nonzero = [x for x in d if x]
     torsion = tuple(x for x in nonzero if x > 1)
     return AbelianGroup(rank - len(nonzero), torsion)

@@ -228,7 +228,8 @@ def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
     if any(len(g) != 4 or any(len(r) != 4 for r in g) for g in generators):
         raise ValueError("closures are supported for genus 2 only")
     identity = identity_matrix(4)
-    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in generators)
+    exact = dict.fromkeys(tuple(map(tuple, g)) for g in generators)
+    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in exact)
     distinct.pop(identity, None)
     form = intlinalg.mat_mod(_column_pairings(identity), p)
     for g in distinct:

@@ -68,6 +68,28 @@ def test_missing_file_exits_two(tmp_path):
     assert main(["check", str(tmp_path / "absent.txt")]) == 2
 
 
+@pytest.mark.parametrize("where", ["under a regular file", "a directory",
+                                   "absent"])
+@pytest.mark.parametrize("command", ["type", "check"])
+def test_unreadable_path_exits_two_naming_it(tmp_path, capsys, command,
+                                             where):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("{}")
+    path = str({"under a regular file": plain / "x", "a directory": tmp_path,
+                "absent": tmp_path / "absent.txt"}[where])
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_feasibility_window_exits_two(capsys):
+    assert main(["feasibility", "--n-max", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window bounds must be nonnegative\n"
+
+
 def test_unknown_catalog_name_exits_two(capsys):
     assert main(["type", "catalog:nothing-here"]) == 2
     assert "no catalog entry" in capsys.readouterr().err

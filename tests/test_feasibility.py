@@ -88,6 +88,9 @@ def test_enumerate_types_window():
     assert {(r.n, r.s) for r in reports if r.status == "unknown"} >= {(6, 7)}
     with pytest.raises(ValueError):
         enumerate_types(500, 15)
+    for n_max, s_max in ((-5, 6), (8, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_types(n_max, s_max)
 
 
 def test_admissible_status_matches_the_chart():

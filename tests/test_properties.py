@@ -16,7 +16,12 @@ from lefschetz.fileformat import (
     parse_factorization,
     serialize_factorization,
 )
-from lefschetz.intlinalg import identity_matrix
+from lefschetz.intlinalg import (
+    AbelianGroup,
+    identity_matrix,
+    quotient_by_rows,
+    smith_normal_form,
+)
 from lefschetz.monodromy import (
     Curve,
     Factorization,
@@ -283,6 +288,60 @@ def test_compose_matches_plain_substitution(outer, inner, word):
     assert fg.compose(a, b) == plain_compose(a, b)
     # the word need not be reduced; the images are
     assert fg.apply_endo(a, word) == plain_compose(a, (tuple(word),))[0]
+
+
+single_letters = st.sampled_from(LETTERS).map(lambda x: (x,))
+
+
+@given(st.lists(tokens, max_size=6),
+       st.lists(single_letters | words(8), min_size=RANK, max_size=RANK))
+def test_compose_with_single_letter_images(outer, inner):
+    a = reference_twist(Curve("c3", tuple(outer)))
+    inner = tuple(inner)
+    assert fg.compose(a, inner) == plain_compose(a, inner)
+    identity = fg.identity_endo(RANK)
+    assert fg.compose(a, identity) == plain_compose(a, identity) == a
+    assert fg.compose(identity, a) == a
+
+
+@st.composite
+def relation_rows(draw):
+    """A rank and relation rows of that length, each a pool row as it is,
+    negated or zeroed, so rows repeat up to sign and zero rows are common."""
+    rank = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    pool = draw(st.lists(entries, min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.sampled_from((1, -1, 0))),
+                          min_size=1, max_size=12))
+    return rank, [[s * x for x in pool[i]] for i, s in picks]
+
+
+def quotient_from_full_smith_form(rows, rank):
+    """Reference: read the group off the Smith form of every row."""
+    d, _, _ = smith_normal_form(rows)
+    nonzero = [x for x in d if x]
+    return AbelianGroup(rank - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+@settings(max_examples=300)  # cheap; most rows cannot tell spans apart
+@given(relation_rows())
+def test_quotient_by_rows_matches_the_full_smith_form(drawn):
+    rank, rows = drawn
+    assert quotient_by_rows(rows, rank) == quotient_from_full_smith_form(
+        rows, rank)
+
+
+@given(relation_rows(), st.integers(0, 12), st.booleans(),
+       st.sampled_from(("zero", "longer", "shorter")))
+def test_quotient_by_rows_checks_every_row_length(drawn, at, alone, kind):
+    rank, rows = drawn
+    bad = {"zero": [0] * (rank + 1), "longer": rows[0] + [0],
+           "shorter": rows[0][:-1]}[kind]
+    # The wrong row alone, repeated, or among rows of the right length.
+    rows = [bad, bad] if alone else rows[:at] + [bad] + rows[at:]
+    with pytest.raises(ValueError, match="length"):
+        quotient_by_rows(rows, rank)
 
 
 # Parser fuzzing: values of the right and the wrong JSON type for every
