@@ -3,8 +3,9 @@
 Sources are file paths in the standard format, or ``catalog:NAME`` for a
 built-in entry.  Commands that produce a new factorization write it with
 ``-o`` or print it to stdout.  Exit codes: 0 on success, 1 when a check
-fails, 2 on usage or parse errors and when a computation runs out of
-memory or recursion depth.
+fails, 2 on usage or parse errors, when the exact check's free-group
+images pass ``monodromy.IMAGE_LETTER_BOUND``, and when a computation
+runs out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -95,21 +96,13 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sub_lantern(args: argparse.Namespace) -> int:
+def _cmd_sub(args: argparse.Namespace) -> int:
     f = _load(args.src)
     try:
-        result = monodromy.lantern_substitute(f, args.at)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    _write(fileformat.serialize_factorization(result), args.output)
-    return 0
-
-
-def _cmd_sub_chain(args: argparse.Namespace) -> int:
-    f = _load(args.src)
-    try:
-        result = monodromy.chain_substitute(f, args.at, args.dir)
+        if args.relation == "lantern":
+            result = monodromy.lantern_substitute(f, args.at)
+        else:
+            result = monodromy.chain_substitute(f, args.at, args.dir)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -247,13 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("src")
     q.add_argument("--at", type=int, required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_sub_lantern)
+    q.set_defaults(func=_cmd_sub)
     q = action.add_parser("chain", help="trade a two-chain window")
     q.add_argument("src")
     q.add_argument("--at", type=int, required=True)
     q.add_argument("--dir", choices=("expand", "contract"), required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_sub_chain)
+    q.set_defaults(func=_cmd_sub)
 
     p = sub.add_parser("transitivity",
                        help="mod-p closure of the twist images")
@@ -299,8 +292,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # str() names the path and why it cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (fileformat.ParseError, KeyError, TypeError, IndexError,
-            ValueError, OverflowError, MemoryError, RecursionError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError,
+            MemoryError, RecursionError) as exc:
         message = exc.args[0] if exc.args else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2

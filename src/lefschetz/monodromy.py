@@ -135,11 +135,23 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     return symplectic.push_class(surf.class_of(curve.base), steps)
 
 
+# Images may grow geometrically with the token word, so the fold stops
+# past this many letters instead of exhausting memory.
+IMAGE_LETTER_BOUND = 1_000_000
+
+
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:
-    """Free-group action of an outermost-first token word (genus 2 only)."""
+    """Free-group action of an outermost-first token word (genus 2 only).
+    Raises ValueError once the images hold more than IMAGE_LETTER_BOUND
+    letters in all."""
     acc = freegroup.identity_endo(4)
     for label, sign in tokens:
         acc = freegroup.compose(acc, freegroup.twist_endo(label, sign))
+        if sum(map(len, acc)) > IMAGE_LETTER_BOUND:
+            raise ValueError(
+                f"free-group images exceed the bound of "
+                f"{IMAGE_LETTER_BOUND} letters"
+            )
     return acc
 
 

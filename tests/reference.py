@@ -4,12 +4,15 @@ The package itself never multiplies matrices or takes determinants: its
 homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
 references: products, determinants, the pairing's matrix J, the
-symplectic condition m^T J m = J, and the orbit of e1 mod p.  One
-free-group reference sits beside them: ``same_loop``, conjugacy up to
-inversion by comparing every rotation of the cyclic reductions.
+symplectic condition m^T J m = J, the orbit of e1 mod p, and invariant
+factors from the gcds of minors.  One free-group reference sits beside
+them: ``same_loop``, conjugacy up to inversion by comparing every
+rotation of the cyclic reductions.
 """
 
 from collections.abc import Sequence
+from itertools import combinations
+from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -54,6 +57,26 @@ def det(mat: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Smith invariant factors by their definition: d_k is the gcd of the
+    k x k minors over the gcd of the (k-1) x (k-1) minors.  Once every
+    k x k minor vanishes, so do all larger ones, and the rest are 0."""
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    factors = [0] * min(nr, nc)
+    prev = 1
+    for k in range(1, len(factors) + 1):
+        g = 0
+        for rows in combinations(range(nr), k):
+            for cols in combinations(range(nc), k):
+                g = gcd(g, det([[mat[i][j] for j in cols] for i in rows]))
+        if not g:
+            break
+        factors[k - 1] = g // prev
+        prev = g
+    return tuple(factors)
 
 
 def pairing_matrix(genus: int) -> Matrix:

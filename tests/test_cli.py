@@ -172,9 +172,18 @@ def test_sub_lantern_builds_lantern_18_1(tmp_path, capsys):
     assert out.read_text() == expected
 
 
-def test_sub_lantern_mismatch_exits_one(capsys):
-    assert main(["sub", "lantern", "catalog:chakiris-gamma", "--at", "0"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("argv, message", [
+    (["lantern"], "cycle 'c2' at the substitution site does not match "
+                  "the registered boundary curve 'c1'"),
+    (["chain", "--dir", "contract"],
+     "cycles do not form the twelve-twist chain pattern"),
+    (["chain", "--dir", "expand"],
+     "expansion needs a conjugate of the standard separating curve"),
+])
+def test_sub_mismatch_exits_one(argv, message, capsys):
+    assert main(["sub", argv[0], "catalog:chakiris-gamma", "--at", "0",
+                 *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_transitivity_output(capsys):
@@ -243,6 +252,23 @@ def test_default_transitivity_fits_in_512_mb_without_numpy():
     assert "p=3: closure order 51840 of 51840 (full)" in lines
     assert "p=5: closure order 9360000 of 9360000 (full)" in lines
     assert "numpy imported: False" in lines
+
+
+def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(tmp_path):
+    # Each t1 T2 pair multiplies the free-group images by about 2.6; without
+    # the bound, checking this 40-token conjugate exhausts memory.
+    doc = tmp_path / "long.json"
+    assert main(["conjugate", "catalog:matsumoto-62",
+                 "--word", ",".join(["t1", "T2"] * 20), "-o", str(doc)]) == 0
+    result = _run_under_address_limit(256, """
+        import sys
+        from lefschetz.cli import main
+
+        sys.exit(main(sys.argv[1:]))
+    """, "check", str(doc))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        "error: free-group images exceed the bound of 1000000 letters\n")
 
 
 @pytest.mark.parametrize("command", ["type", "invariants"])

@@ -20,7 +20,6 @@ from lefschetz.intlinalg import (
     AbelianGroup,
     identity_matrix,
     quotient_by_rows,
-    smith_normal_form,
 )
 from lefschetz.monodromy import (
     Curve,
@@ -38,7 +37,7 @@ from lefschetz.monodromy import (
 )
 from lefschetz.surface import standard_surface
 from lefschetz.symplectic import evaluate_classes, transvection
-from reference import mat_mul, mat_vec
+from reference import invariant_factors, mat_mul, mat_vec
 
 RANK = 4
 LETTERS = [s * g for g in range(1, RANK + 1) for s in (1, -1)]
@@ -318,9 +317,9 @@ def relation_rows(draw):
 
 
 def quotient_from_full_smith_form(rows, rank):
-    """Reference: read the group off the Smith form of every row."""
-    d, _, _ = smith_normal_form(rows)
-    nonzero = [x for x in d if x]
+    """Reference: read the group off the invariant factors of every row,
+    computed from minors (``reference.invariant_factors``)."""
+    nonzero = [x for x in invariant_factors(rows) if x]
     return AbelianGroup(rank - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
