@@ -11,7 +11,9 @@ Conjugator token lists are written outermost first: a curve with
 conjugator [t1, t2] is the image of its base curve under the composite
 twist(t1) o twist(t2).  Global conjugation therefore prefixes tokens.
 A twist is the token word ``conj . base . conj^-1``, so the exact composite
-of a factorization is one token word, reduced once and then evaluated.
+of a factorization is one token word, reduced as it is written and then
+folded on the free group modulo inner automorphisms: each twist acts as
+its shorter table psi, and its inner part rides along as one extra word.
 
 ``Factorization.classes`` holds the homology classes of the vanishing
 cycles, computed once per factorization; the homology image, the (n, s)
@@ -140,19 +142,60 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
 IMAGE_LETTER_BOUND = 1_000_000
 
 
+def _fold_table(token: Token) -> Endo:
+    g = freegroup.TWIST_INNER_PARTS.get(token, ())
+    gi = freegroup.inverse(g)
+    psi = (freegroup.conjugate(im, gi) for im in freegroup.TWIST_IMAGES[token])
+    return (*psi, (5,) + g)
+
+
+# Each genus-2 twist T is x -> g . psi(x) . g^-1, with g from
+# freegroup.TWIST_INNER_PARTS (empty for all but c3).  Its fold table
+# sends a1..a4 to psi(a1)..psi(a4) and a fifth generator to a5 . g.  The
+# fold holds Psi and W, the action being x -> W . Psi(x) . W^-1, with W as
+# the image of a5; since Psi o Inn(g) = Inn(Psi(g)) o Psi, composing with
+# the next table yields Psi o psi and, as the fifth image, W . Psi(g).
+FOLD_TABLES: dict[Token, Endo] = {
+    token: _fold_table(token) for token in freegroup.TWIST_IMAGES
+}
+
+
+def _check_bound(images: Endo) -> None:
+    if sum(map(len, images)) > IMAGE_LETTER_BOUND:
+        raise ValueError(
+            f"free-group images exceed the bound of "
+            f"{IMAGE_LETTER_BOUND} letters"
+        )
+
+
+def _fold(tokens: Iterable[Token]) -> Endo:
+    """Fold an outermost-first token word modulo inner automorphisms into
+    ``Psi`` (images 1-4) and ``W`` (the fifth); the word acts as
+    ``x -> W . Psi(x) . W^-1``.  Raises ValueError once the five words
+    hold more than IMAGE_LETTER_BOUND letters in all."""
+    acc = ((1,), (2,), (3,), (4,), ())
+    for label, sign in tokens:
+        try:
+            table = FOLD_TABLES[label, sign]
+        except KeyError:
+            raise ValueError(
+                f"no genus-2 twist table for {label!r} sign {sign}") from None
+        acc = freegroup.compose(acc, table)
+        _check_bound(acc)
+    return acc
+
+
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     """Free-group action of an outermost-first token word (genus 2 only).
-    Raises ValueError once the images hold more than IMAGE_LETTER_BOUND
-    letters in all."""
-    acc = freegroup.identity_endo(4)
-    for label, sign in tokens:
-        acc = freegroup.compose(acc, freegroup.twist_endo(label, sign))
-        if sum(map(len, acc)) > IMAGE_LETTER_BOUND:
-            raise ValueError(
-                f"free-group images exceed the bound of "
-                f"{IMAGE_LETTER_BOUND} letters"
-            )
-    return acc
+    Raises ValueError once the fold, or the images returned, hold more
+    than IMAGE_LETTER_BOUND letters in all."""
+    acc = _fold(tokens)
+    w = acc[4]
+    if not w:
+        return acc[:4]
+    images = tuple(freegroup.conjugate(im, w) for im in acc[:4])
+    _check_bound(images)
+    return images
 
 
 def curve_word(curve: Curve, genus: int) -> Word:
@@ -185,14 +228,35 @@ def evaluate(f: Factorization):
     return symplectic.evaluate_classes(f.classes, 2 * f.genus)
 
 
+def _composite_tokens(f: Factorization) -> list[Token]:
+    """Reduced token word of T(c_N) o ... o T(c_1), outermost first,
+    cancelling each token against the last one kept as it is written."""
+    if f.genus != 2:
+        raise ValueError("exact composites are available only at genus 2")
+    out: list[Token] = []
+    for curve in reversed(f.cycles):
+        for label, sign in curve.conj:
+            if out and out[-1] == (label, -sign):
+                out.pop()
+            else:
+                out.append((label, sign))
+        if out and out[-1] == (curve.base, -1):
+            out.pop()
+        else:
+            out.append((curve.base, 1))
+        for label, sign in reversed(curve.conj):
+            if out and out[-1] == (label, sign):
+                out.pop()
+            else:
+                out.append((label, -sign))
+    return out
+
+
 def composite_endo(f: Factorization) -> Endo:
     """Composite free-group automorphism T(c_N) o ... o T(c_1) of the whole
     word (genus 2), evaluated as one reduced token word, last cycle first,
     so conjugators that neighbouring cycles share are never applied."""
-    if f.genus != 2:
-        raise ValueError("exact composites are available only at genus 2")
-    tokens = (t for curve in reversed(f.cycles) for t in twist_tokens(curve))
-    return conjugator_endo(reduce_tokens(tokens))
+    return conjugator_endo(_composite_tokens(f))
 
 
 @dataclass(frozen=True)
@@ -216,8 +280,10 @@ def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
     if level == "homology":
         return IdentityReport(level, is_identity_matrix(evaluate(f)))
     if level == "exact":
-        aut = composite_endo(f)
-        conj = freegroup.is_inner(aut)
+        acc = _fold(_composite_tokens(f))
+        conj = freegroup.is_inner(acc[:4])
+        if conj is not None:
+            conj = freegroup.concat(acc[4], conj)
         return IdentityReport(level, conj is not None, conjugator=conj)
     raise ValueError(f"unknown identity level {level!r}")
 

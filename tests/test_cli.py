@@ -254,12 +254,15 @@ def test_default_transitivity_fits_in_512_mb_without_numpy():
     assert "numpy imported: False" in lines
 
 
-def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(tmp_path):
+@pytest.mark.parametrize("pair", [("t1", "T2"), ("t3", "T2")])
+def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(
+        tmp_path, pair):
     # Each t1 T2 pair multiplies the free-group images by about 2.6; without
-    # the bound, checking this 40-token conjugate exhausts memory.
+    # the bound, checking this 40-token conjugate exhausts memory.  The
+    # t3 T2 conjugate goes through the c3 table's inner part.
     doc = tmp_path / "long.json"
     assert main(["conjugate", "catalog:matsumoto-62",
-                 "--word", ",".join(["t1", "T2"] * 20), "-o", str(doc)]) == 0
+                 "--word", ",".join(pair * 20), "-o", str(doc)]) == 0
     result = _run_under_address_limit(256, """
         import sys
         from lefschetz.cli import main

@@ -5,6 +5,7 @@ import pytest
 from lefschetz import freegroup as fg
 from lefschetz.intlinalg import is_identity_matrix
 from lefschetz.monodromy import (
+    FOLD_TABLES,
     Curve,
     Factorization,
     LanternInstance,
@@ -207,6 +208,19 @@ def test_composite_endo_matches_twist_composition():
     f = Factorization(2, (Curve("c1"), Curve("c2")), 0)
     direct = fg.compose(fg.twist_endo("c2"), fg.twist_endo("c1"))
     assert composite_endo(f) == direct
+
+
+@pytest.mark.parametrize("token", sorted(fg.TWIST_IMAGES))
+def test_fold_tables_split_each_twist_into_inner_part_and_psi(token):
+    g = fg.TWIST_INNER_PARTS.get(token, ())
+    *psi, fifth = FOLD_TABLES[token]
+    assert fifth == (5,) + g
+    for image, twisted in zip(psi, fg.TWIST_IMAGES[token], strict=True):
+        assert fg.free_reduce(image) == image
+        assert fg.conjugate(image, g) == twisted
+    if token[0] == "c3":
+        # a1 and a2 pass through, so psi is shorter than the c3 table
+        assert (psi[0], psi[2]) == ((1,), (3,))
 
 
 def test_twist_about_unreduced_conjugate_inverts():

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from lefschetz import freegroup as fg
+from lefschetz import catalog, freegroup as fg
 from lefschetz.fileformat import (
     ParseError,
     parse_factorization,
@@ -31,6 +31,7 @@ from lefschetz.monodromy import (
     fiber_sum,
     global_conjugate,
     hurwitz_move,
+    identity_check,
     reduce_tokens,
     rotate,
     twist_tokens,
@@ -239,6 +240,39 @@ def test_curve_twist_endo_matches_reference(curve):
     assert curve_twist_endo(curve) == reference_twist(curve)
     inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
     assert inverse == reference_twist(curve, -1)
+
+
+EXACT_WORDS = tuple(e.name for e in catalog.list_entries()
+                    if e.kind == "factorization" and e.level == "exact")
+# Conjugators rich in t3/T3 give the fold a long inner part W.
+c3_rich_tokens = st.tuples(st.sampled_from(("c3", "c3", "c3", "c1", "c2", "s1")),
+                           st.sampled_from((1, -1)))
+
+
+@st.composite
+def moved_identity_words(draw):
+    """A catalog identity word moved by Hurwitz moves and a global
+    conjugation, and perhaps one c1, c3 or s1 twist put at either end."""
+    f = catalog.get_factorization(draw(st.sampled_from(EXACT_WORDS)))
+    for i, direction in draw(hurwitz_moves):
+        f = hurwitz_move(f, i % (len(f) - 1), direction)
+    f = global_conjugate(f, draw(st.lists(c3_rich_tokens, max_size=4)))
+    extra = draw(st.none() | st.tuples(st.sampled_from(("c1", "c3", "s1")),
+                                       st.booleans()))
+    if extra is not None:
+        label, last = extra
+        cycles = (f.cycles + (Curve(label),) if last
+                  else (Curve(label),) + f.cycles)
+        f = Factorization(2, cycles)
+    return f
+
+
+@given(moved_identity_words())
+def test_exact_witness_matches_the_reference_composite(f):
+    report = identity_check(f, "exact")
+    want = fg.is_inner(reference_composite(f))
+    assert report.passed is (want is not None)
+    assert report.conjugator == want
 
 
 @st.composite
