@@ -189,11 +189,8 @@ def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     """Free-group action of an outermost-first token word (genus 2 only).
     Raises ValueError once the fold, or the images returned, hold more
     than IMAGE_LETTER_BOUND letters in all."""
-    acc = _fold(tokens)
-    w = acc[4]
-    if not w:
-        return acc[:4]
-    images = tuple(freegroup.conjugate(im, w) for im in acc[:4])
+    *psi, w = _fold(tokens)
+    images = tuple(freegroup.conjugate(im, w) for im in psi)
     _check_bound(images)
     return images
 
