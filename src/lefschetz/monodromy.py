@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import freegroup
 from . import symplectic
@@ -188,11 +188,15 @@ def _fold(tokens: Iterable[Token]) -> Endo:
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     """Free-group action of an outermost-first token word (genus 2 only).
     Raises ValueError once the fold, or the images returned, hold more
-    than IMAGE_LETTER_BOUND letters in all."""
+    than IMAGE_LETTER_BOUND letters in all; the images are counted as
+    each is built, so at most one of them is built past the bound."""
     *psi, w = _fold(tokens)
-    images = tuple(freegroup.conjugate(im, w) for im in psi)
-    _check_bound(images)
-    return images
+    wi = freegroup.inverse(w)
+    images: list[Word] = []
+    for im in psi:
+        images.append(freegroup.concat(w, im, wi))
+        _check_bound(images)
+    return tuple(images)
 
 
 def curve_word(curve: Curve, genus: int) -> Word:
@@ -209,29 +213,12 @@ def twist_tokens(curve: Curve, sign: int = 1) -> tuple[Token, ...]:
     return curve.conj + ((curve.base, sign),) + inverse
 
 
-def curve_twist_endo(curve: Curve) -> Endo:
-    """The twist about a conjugated curve, as a free-group automorphism."""
-    return conjugator_endo(reduce_tokens(twist_tokens(curve)))
-
-
-def ns_type(f: Factorization) -> tuple[int, int]:
-    """Counts of (nonseparating, separating) vanishing cycles."""
-    s = sum(not any(c) for c in f.classes)
-    return (len(f.cycles) - s, s)
-
-
-def evaluate(f: Factorization):
-    """Image of the factorization in Sp(2g, Z); first cycle acts first."""
-    return symplectic.evaluate_classes(f.classes, 2 * f.genus)
-
-
-def _composite_tokens(f: Factorization) -> list[Token]:
-    """Reduced token word of T(c_N) o ... o T(c_1), outermost first,
-    cancelling each token against the last one kept as it is written."""
-    if f.genus != 2:
-        raise ValueError("exact composites are available only at genus 2")
+def twist_product_tokens(curves: Sequence[Curve]) -> list[Token]:
+    """Reduced token word of T(c_N) o ... o T(c_1) for curves c_1 .. c_N,
+    outermost first: each twist conj . base . conj^-1 is written last
+    curve first, and each token cancels against the last one kept."""
     out: list[Token] = []
-    for curve in reversed(f.cycles):
+    for curve in reversed(curves):
         for label, sign in curve.conj:
             if out and out[-1] == (label, -sign):
                 out.pop()
@@ -247,6 +234,28 @@ def _composite_tokens(f: Factorization) -> list[Token]:
             else:
                 out.append((label, -sign))
     return out
+
+
+def curve_twist_endo(curve: Curve) -> Endo:
+    """The twist about a conjugated curve, as a free-group automorphism."""
+    return conjugator_endo(twist_product_tokens((curve,)))
+
+
+def ns_type(f: Factorization) -> tuple[int, int]:
+    """Counts of (nonseparating, separating) vanishing cycles."""
+    s = sum(not any(c) for c in f.classes)
+    return (len(f.cycles) - s, s)
+
+
+def evaluate(f: Factorization):
+    """Image of the factorization in Sp(2g, Z); first cycle acts first."""
+    return symplectic.evaluate_classes(f.classes, 2 * f.genus)
+
+
+def _composite_tokens(f: Factorization) -> list[Token]:
+    if f.genus != 2:
+        raise ValueError("exact composites are available only at genus 2")
+    return twist_product_tokens(f.cycles)
 
 
 def composite_endo(f: Factorization) -> Endo:

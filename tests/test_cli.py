@@ -274,6 +274,32 @@ def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(
         "error: free-group images exceed the bound of 1000000 letters\n")
 
 
+def test_library_folds_of_a_long_c3_conjugate_stop_at_the_letter_bound(
+        tmp_path):
+    # composite_endo and curve_word conjugate the fold's four images by its
+    # inner part; on the t3 T2 conjugate they stop as the check does.
+    doc = tmp_path / "long.json"
+    assert main(["conjugate", "catalog:matsumoto-62",
+                 "--word", ",".join(["t3", "T2"] * 20), "-o", str(doc)]) == 0
+    result = _run_under_address_limit(256, """
+        import sys
+        from lefschetz.fileformat import parse_factorization
+        from lefschetz.monodromy import composite_endo, curve_word
+
+        with open(sys.argv[1]) as fh:
+            f = parse_factorization(fh.read())
+        for call in (lambda: composite_endo(f),
+                     lambda: curve_word(f.cycles[0], 2)):
+            try:
+                call()
+            except ValueError as exc:
+                print(exc)
+    """, str(doc))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "free-group images exceed the bound of 1000000 letters\n" * 2)
+
+
 @pytest.mark.parametrize("command", ["type", "invariants"])
 def test_huge_declared_genus_exits_two_in_bounded_memory(tmp_path, command):
     # Run only under the address limit: unbounded, the parse alone would

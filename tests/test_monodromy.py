@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lefschetz import freegroup as fg
+from lefschetz import freegroup as fg, monodromy
 from lefschetz.intlinalg import is_identity_matrix
 from lefschetz.monodromy import (
     FOLD_TABLES,
@@ -215,12 +215,30 @@ def test_fold_tables_split_each_twist_into_inner_part_and_psi(token):
     g = fg.TWIST_INNER_PARTS.get(token, ())
     *psi, fifth = FOLD_TABLES[token]
     assert fifth == (5,) + g
+    # The tables are built as conjugates of TWIST_IMAGES by g^-1, so these
+    # two hold for any g; they pin the round trip through conjugate.
     for image, twisted in zip(psi, fg.TWIST_IMAGES[token], strict=True):
         assert fg.free_reduce(image) == image
         assert fg.conjugate(image, g) == twisted
-    if token[0] == "c3":
-        # a1 and a2 pass through, so psi is shorter than the c3 table
-        assert (psi[0], psi[2]) == ((1,), (3,))
+    if g:
+        # what an inner part is for: psi is shorter than the table
+        assert sum(map(len, psi)) < sum(map(len, fg.TWIST_IMAGES[token]))
+
+
+def test_c3_fold_tables_pass_a1_and_a2_through():
+    assert FOLD_TABLES["c3", 1] == (
+        (1,), (3, 1, 2), (3,), (1, 3, 4), (5, -3, -1))
+    assert FOLD_TABLES["c3", -1] == (
+        (1,), (-1, -3, 2), (3,), (-3, -1, 4), (5, 1, 3))
+
+
+def test_conjugator_endo_bounds_the_images_it_builds(monkeypatch):
+    # t3^6 folds to 40 letters in all, but its images hold 98.
+    tokens = [("c3", 1)] * 6
+    monkeypatch.setattr(monodromy, "IMAGE_LETTER_BOUND", 60)
+    assert sum(map(len, monodromy._fold(tokens))) <= 60
+    with pytest.raises(ValueError, match="exceed the bound of 60 letters"):
+        conjugator_endo(tokens)
 
 
 def test_twist_about_unreduced_conjugate_inverts():

@@ -4,6 +4,7 @@ file parser against the one validator, ``Factorization``."""
 
 import json
 import re
+from itertools import chain
 
 import pytest
 
@@ -34,6 +35,7 @@ from lefschetz.monodromy import (
     identity_check,
     reduce_tokens,
     rotate,
+    twist_product_tokens,
     twist_tokens,
 )
 from lefschetz.surface import standard_surface
@@ -240,6 +242,14 @@ def test_curve_twist_endo_matches_reference(curve):
     assert curve_twist_endo(curve) == reference_twist(curve)
     inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
     assert inverse == reference_twist(curve, -1)
+
+
+@given(st.lists(tokens, max_size=4), st.lists(genus2_curves, max_size=5))
+def test_twist_product_tokens_is_the_reduced_twist_word(prefix, cycles):
+    # A shared prefix makes neighbouring twists cancel across curves.
+    cycles = [Curve(c.base, tuple(prefix) + c.conj) for c in cycles]
+    plain = chain.from_iterable(map(twist_tokens, reversed(cycles)))
+    assert twist_product_tokens(cycles) == list(reduce_tokens(plain))
 
 
 EXACT_WORDS = tuple(e.name for e in catalog.list_entries()
