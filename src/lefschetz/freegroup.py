@@ -23,6 +23,7 @@ which it stores as the image of a fifth generator.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import reduce
 from operator import neg
 
 Word = tuple[int, ...]
@@ -153,13 +154,12 @@ def is_inner(images: Endo) -> Word | None:
 # (classes a1, b1, a1+a2, b2, a2) and s1 is the separating curve
 # cutting off the first handle.  Sign +1 is the right-handed twist.
 #
-# The tables were derived in a fixed one-holed model and are pinned by
-# the test suite: each one fixes the boundary word, inverse pairs
-# compose to the identity, neighbours in the chain satisfy the braid
-# relation, disjoint curves give commuting twists, and the induced maps
-# on homology are the expected transvections.
-
-_D = (2, 1, -2, -1)  # conjugator of the s1 twist on the first handle
+# The c tables were derived in a fixed one-holed model; the s1 tables are
+# composed from them through TWO_CHAIN below.  The test suite pins them:
+# each one fixes the boundary word, inverse pairs compose to the identity,
+# neighbours in the chain satisfy the braid relation, disjoint curves give
+# commuting twists, and the induced maps on homology are the expected
+# transvections.
 
 TWIST_IMAGES: dict[tuple[str, int], Endo] = {
     ("c1", 1): ((1,), (2, 1), (3,), (4,)),
@@ -182,19 +182,15 @@ TWIST_IMAGES: dict[tuple[str, int], Endo] = {
     ("c4", -1): ((1,), (2,), (3, 4), (4,)),
     ("c5", 1): ((1,), (2,), (3,), (4, 3)),
     ("c5", -1): ((1,), (2,), (3,), (4, -3)),
-    ("s1", 1): (
-        conjugate((1,), _D),
-        conjugate((2,), _D),
-        (3,),
-        (4,),
-    ),
-    ("s1", -1): (
-        conjugate((1,), inverse(_D)),
-        conjugate((2,), inverse(_D)),
-        (3,),
-        (4,),
-    ),
 }
+
+# The two-chain relation t_s1 = (t_c1 t_c2)^6, as labels in application
+# order (first entry acts first).  Outermost first, the s1 twist is
+# T(c2) o ... o T(c1), and its inverse is T(c1)^-1 o ... o T(c2)^-1.
+TWO_CHAIN = ("c1", "c2") * 6
+for _sign, _outermost_first in ((1, TWO_CHAIN[::-1]), (-1, TWO_CHAIN)):
+    TWIST_IMAGES["s1", _sign] = reduce(
+        compose, [TWIST_IMAGES[label, _sign] for label in _outermost_first])
 
 
 # The inner part g of each twist table T that has one: T(x) is

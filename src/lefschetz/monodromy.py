@@ -412,8 +412,9 @@ def chain_substitute(
     """Trade one separating twist for the twelve-twist chain word, or back.
 
     Expansion replaces a conjugate of the standard separating curve by
-    the correspondingly conjugated twelve-cycle chain pattern; the type
-    shifts by (+12, -1).  Contraction is the inverse.
+    the correspondingly conjugated twelve-cycle chain pattern
+    ``freegroup.TWO_CHAIN``; the type shifts by (+12, -1).  Contraction is
+    the inverse.
     """
     if direction == "expand":
         if not 0 <= at < len(f.cycles):
@@ -422,17 +423,17 @@ def chain_substitute(
         if target.base != "s1":
             raise ValueError("expansion needs a conjugate of the standard "
                              "separating curve")
-        block = (Curve("c1", target.conj), Curve("c2", target.conj)) * 6
+        block = tuple(Curve(label, target.conj) for label in freegroup.TWO_CHAIN)
         cycles = f.cycles[:at] + block + f.cycles[at + 1 :]
     elif direction == "contract":
-        if not 0 <= at <= len(f.cycles) - 12:
+        n = len(freegroup.TWO_CHAIN)
+        if not 0 <= at <= len(f.cycles) - n:
             raise IndexError(f"no twelve consecutive cycles at position {at}")
-        window = [c.reduced() for c in f.cycles[at : at + 12]]
+        window = tuple(c.reduced() for c in f.cycles[at : at + n])
         conj = window[0].conj
-        pattern = [Curve("c1", conj), Curve("c2", conj)] * 6
-        if list(window) != pattern:
+        if window != tuple(Curve(label, conj) for label in freegroup.TWO_CHAIN):
             raise ValueError("cycles do not form the twelve-twist chain pattern")
-        cycles = f.cycles[:at] + (Curve("s1", conj),) + f.cycles[at + 12 :]
+        cycles = f.cycles[:at] + (Curve("s1", conj),) + f.cycles[at + n :]
     else:
         raise ValueError(f"unknown direction {direction!r}")
     out = Factorization(f.genus, cycles, f.base_genus)

@@ -5,9 +5,10 @@ homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
 references: products, determinants, the pairing's matrix J, the
 symplectic condition m^T J m = J, the orbit of e1 mod p, and invariant
-factors from the gcds of minors.  One free-group reference sits beside
+factors from the gcds of minors.  Two free-group references sit beside
 them: ``same_loop``, conjugacy up to inversion by comparing every
-rotation of the cyclic reductions.
+rotation of the cyclic reductions, and ``S1_TWIST_IMAGES``, the s1 twist
+tables as conjugations of the first handle.
 """
 
 from collections.abc import Sequence
@@ -117,17 +118,22 @@ def acts_transitively_mod_p(generators: Sequence[Sequence[Sequence[int]]],
     return len(seen) == p**n - 1
 
 
-def _cyclic_core(word: Sequence[int]) -> tuple[int, ...]:
-    """Free reduction, then the matching ends peeled off pairwise."""
+def _free_reduce(word: Sequence[int]) -> tuple[int, ...]:
     w: list[int] = []
     for x in word:
         if w and w[-1] == -x:
             w.pop()
         else:
             w.append(x)
+    return tuple(w)
+
+
+def _cyclic_core(word: Sequence[int]) -> tuple[int, ...]:
+    """Free reduction, then the matching ends peeled off pairwise."""
+    w = _free_reduce(word)
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
-    return tuple(w)
+    return w
 
 
 def same_loop(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -138,3 +144,15 @@ def same_loop(u: Sequence[int], v: Sequence[int]) -> bool:
         return False
     targets = (cv, tuple(-x for x in reversed(cv)))
     return any(cu[i:] + cu[:i] in targets for i in range(max(len(cu), 1)))
+
+
+# The s1 twist tables as first derived by hand in the one-holed model:
+# the twist conjugates a1 and b1 by D = b1 a1 b1^-1 a1^-1 (by D^-1 at
+# sign -1) and fixes a2 and b2.  The package composes them from the
+# two-chain relation instead.
+_D = (2, 1, -2, -1)
+_DI = (1, 2, -1, -2)
+S1_TWIST_IMAGES = {
+    sign: (_free_reduce(d + (1,) + di), _free_reduce(d + (2,) + di), (3,), (4,))
+    for sign, d, di in ((1, _D, _DI), (-1, _DI, _D))
+}

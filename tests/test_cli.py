@@ -186,6 +186,29 @@ def test_sub_mismatch_exits_one(argv, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.parametrize("command, cycles, code, out", [
+    ("invariants", (Curve("c1"),), 1,
+     "factorization is not an identity word at the homology level; "
+     "invariants of a closed total space are undefined\n"),
+    ("invariants", (Curve("s1"),), 1,
+     "3n + s = 1 is not divisible by 5; no genus-2 Lefschetz fibration "
+     "has type (0, 1)\n"),
+    ("invariants", (Curve("s1"),) * 5, 0,
+     "euler: 1\nsignature: -1\nh1: Z + Z + Z + Z\nb0: 1\nb1: 4\nb2: 7\n"
+     "b3: 4\nb4: 1\nb2_plus: 3\nb2_minus: 4\nidentity_level: homology\n"
+     "warning: b2_minus = 4 is below the separating-cycle bound "
+     "s + 1 = 6: no such fibration can exist\n"),
+    ("basis-pairs", (Curve("c1"), Curve("c1")), 1,
+     "no unimodular pair of vanishing-cycle classes\n"),
+])
+def test_failure_and_warning_lines(tmp_path, capsys, command, cycles, code,
+                                   out):
+    word = tmp_path / "word.json"
+    word.write_text(serialize_factorization(Factorization(2, cycles)))
+    assert main([command, str(word)]) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_transitivity_output(capsys):
     assert main(["transitivity", "catalog:chakiris-gamma",
                  "--primes", "2"]) == 0

@@ -1,8 +1,10 @@
+from functools import reduce
+
 import pytest
 
 from lefschetz import freegroup as fg
 from lefschetz.surface import standard_surface
-from reference import same_loop
+from reference import S1_TWIST_IMAGES, same_loop
 
 
 def test_free_reduce():
@@ -94,6 +96,16 @@ def test_disjoint_twists_commute():
     a = fg.twist_endo("c1")
     b = fg.twist_endo("c4")
     assert fg.compose(a, b) == fg.compose(b, a)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_s1_tables_are_the_two_chain_composite(sign):
+    # The derived tables equal the hand-written conjugations of the first
+    # handle, and composing the chain in either order gives them.
+    assert fg.twist_endo("s1", sign) == S1_TWIST_IMAGES[sign]
+    for pair in (("c1", "c2"), ("c2", "c1")):
+        tables = [fg.twist_endo(label, sign) for label in pair * 6]
+        assert reduce(fg.compose, tables) == S1_TWIST_IMAGES[sign]
 
 
 def test_is_inner():

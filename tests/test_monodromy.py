@@ -173,6 +173,13 @@ def test_lantern_verify_rejects_a_separating_boundary_curve():
     assert not LanternInstance((s1, s1, c1, c1), (s1, c1, c1)).verify()
 
 
+def test_lantern_verify_rejects_unequal_homology_images():
+    # Pairwise disjoint classes, one separating interior curve and no
+    # separating boundary curve: only the homology images differ.
+    s1, c1, c5 = Curve("s1"), Curve("c1"), Curve("c5")
+    assert LanternInstance((c1, c1, c5, c5), (s1, c1, c5)).verify() is False
+
+
 def test_lantern_substitute_shifts_type():
     f = get_factorization("lantern-18-1")
     assert ns_type(f) == (18, 1)
@@ -202,6 +209,23 @@ def test_chain_substitute_respects_conjugators():
     expanded = chain_substitute(f, 0, "expand")
     assert all(c.conj == conj for c in expanded.cycles)
     assert evaluate(expanded) == evaluate(f)
+
+
+def test_chain_substitute_rejects_bad_positions_and_directions():
+    f = Factorization(2, (Curve("s1"),))
+    with pytest.raises(IndexError, match=r"^no cycle at position 1$"):
+        chain_substitute(f, 1, "expand")
+    with pytest.raises(IndexError,
+                       match=r"^no twelve consecutive cycles at position 0$"):
+        chain_substitute(f, 0, "contract")
+    with pytest.raises(ValueError, match=r"^unknown direction 'sideways'$"):
+        chain_substitute(f, 1, "sideways")
+
+
+def test_curve_twist_endo_rejects_a_label_without_a_table():
+    with pytest.raises(ValueError,
+                       match=r"^no genus-2 twist table for 'c9' sign 1$"):
+        curve_twist_endo(Curve("c9"))
 
 
 def test_composite_endo_matches_twist_composition():
