@@ -18,9 +18,8 @@ level, which is the level their construction guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import fileformat
 from .invariants import first_homology
@@ -37,8 +36,7 @@ from .monodromy import (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """Metadata for one catalog item."""
 
     name: str
@@ -173,8 +171,7 @@ def get_factorization(name: str) -> Factorization:
     return item
 
 
-@dataclass(frozen=True)
-class CatalogCheck:
+class CatalogCheck(NamedTuple):
     """Outcome of verifying one entry against its declared invariants."""
 
     name: str

@@ -23,7 +23,12 @@ def _load(src: str) -> monodromy.Factorization:
     if src.startswith("catalog:"):
         return catalog.get_factorization(src[len("catalog:"):])
     with open(src, "r", encoding="utf-8") as fh:
-        return fileformat.parse_factorization(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # its args[0] is only "utf-8"
+            raise ValueError(
+                f"{src} is not UTF-8 text: {exc.reason}") from None
+    return fileformat.parse_factorization(text)
 
 
 def _write(text: str, path: Optional[str]) -> None:

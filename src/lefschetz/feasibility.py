@@ -14,9 +14,7 @@ CSV or SVG.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 # Types whose explicit monodromies appear in the published literature:
 # every type in the window n <= 20, s <= 15 that has one, plus the chain
@@ -31,8 +29,7 @@ KNOWN_TYPES: frozenset[tuple[int, int]] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class NSReport:
+class NSReport(NamedTuple):
     """Feasibility verdict for a lattice point (n, s)."""
 
     n: int
@@ -111,15 +108,12 @@ def b2plus_one_types() -> list[NSReport]:
                 continue
             if report.b1_forced is not None and report.b1_forced != b1:
                 continue
-            out.append(
-                dataclasses.replace(report, b1_forced=b1, b2_plus=b2plus(n, s, b1))
-            )
+            out.append(report._replace(b1_forced=b1, b2_plus=b2plus(n, s, b1)))
     out.sort(key=lambda r: (-r.n, r.s))
     return out
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """Invariants of the sharp-line family member at parameter k."""
 
     k: int
@@ -151,8 +145,7 @@ def family_invariants(k: int) -> FamilyReport:
     return FamilyReport(k, n, s, b1, b2, plus, b2 - plus, sigma, euler)
 
 
-@dataclass(frozen=True)
-class IndecomposabilityReport:
+class IndecomposabilityReport(NamedTuple):
     """Fiber-sum decomposability verdict for an admissible type."""
 
     n: int

@@ -7,10 +7,10 @@ is exact at any size.  Row count first: ``m[i][j]`` is row i, column j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 from math import gcd, lcm
 from operator import neg
+from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -79,8 +79,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(d)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """Invariant factors of a finitely generated abelian group."""
 
     free_rank: int

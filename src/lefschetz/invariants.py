@@ -17,9 +17,8 @@ identity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import freegroup, monodromy
 from .intlinalg import AbelianGroup, quotient_by_rows
@@ -60,8 +59,7 @@ def first_homology(f: Factorization) -> AbelianGroup:
     return AbelianGroup(quotient.free_rank + 2 * f.base_genus, quotient.torsion)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Invariants of the closed total space and the identity level checked."""
 
     euler: int
@@ -124,8 +122,7 @@ def invariant_report(f: Factorization) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A finite presentation of the fundamental group of the total space."""
 
     generators: tuple[str, ...]
@@ -153,8 +150,7 @@ def presentation_h1(p: Presentation) -> AbelianGroup:
     return quotient_by_rows(rows, rank)
 
 
-@dataclass(frozen=True)
-class BettiBoundReport:
+class BettiBoundReport(NamedTuple):
     """The first-Betti-number bound plus its witness obstruction."""
 
     b1: int

@@ -22,10 +22,8 @@ type, the lantern check and the invariants all read that one list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import freegroup
 from . import symplectic
@@ -71,8 +69,7 @@ def reduce_tokens(tokens: Iterable[Token]) -> tuple[Token, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """A simple closed curve: standard base curve plus conjugating word."""
 
     base: str
@@ -82,28 +79,30 @@ class Curve:
         return Curve(self.base, reduce_tokens(self.conj))
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """An ordered positive twist word; entry 0 is applied first."""
+    """An ordered positive twist word; entry 0 is applied first.
 
-    genus: int
-    cycles: tuple[Curve, ...] = ()
-    base_genus: int = 0
+    Instances are immutable; equality, hashing and repr go by
+    ``(genus, cycles, base_genus)``."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("genus", "cycles", "base_genus", "_classes")
+
+    def __init__(self, genus: int, cycles: Iterable[Curve] = (),
+                 base_genus: int = 0) -> None:
         """The one check of a word's rules; messages name the twist index
         and the label or token as written."""
         # ``type(...) is int`` rejects booleans, which JSON loads as bools.
-        if type(self.genus) is not int or self.genus < 1:
+        if type(genus) is not int or genus < 1:
             raise ValueError("fiber genus must be a positive integer")
-        if type(self.base_genus) is not int or self.base_genus < 0:
+        if type(base_genus) is not int or base_genus < 0:
             raise ValueError("base genus must be a nonnegative integer")
-        known = standard_surface(self.genus).curve_classes
-        for i, curve in enumerate(self.cycles):
+        cycles = tuple(cycles)
+        known = standard_surface(genus).curve_classes
+        for i, curve in enumerate(cycles):
             if not isinstance(curve.base, str) or curve.base not in known:
                 raise ValueError(
                     f"twist {i}: unknown curve label {curve.base!r} "
-                    f"at genus {self.genus}"
+                    f"at genus {genus}"
                 )
             for label, sign in curve.conj:
                 if not isinstance(label, str) or sign not in (1, -1):
@@ -114,18 +113,48 @@ class Factorization:
                     raise ValueError(
                         f"twist {i}: conjugator token "
                         f"{token_string((label, sign))!r} names no curve "
-                        f"at genus {self.genus}"
+                        f"at genus {genus}"
                     )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "base_genus", base_genus)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Factorization, (self.genus, self.cycles, self.base_genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.genus, self.cycles, self.base_genus) == (
+            other.genus, other.cycles, other.base_genus)
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.cycles, self.base_genus))
+
+    def __repr__(self) -> str:
+        return (f"Factorization(genus={self.genus!r}, cycles={self.cycles!r}, "
+                f"base_genus={self.base_genus!r})")
 
     def __len__(self) -> int:
         return len(self.cycles)
 
-    @cached_property
+    @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Homology classes of the vanishing cycles, in cycle order.  The
-        dataclass is frozen, so the cached value never goes stale; it is
-        not a field, so equality, hashing and repr ignore it."""
-        return tuple(curve_class(c, self.genus) for c in self.cycles)
+        """Homology classes of the vanishing cycles, in cycle order.  They
+        are computed on first use and kept; no field can be reassigned,
+        so they never go stale, and equality, hashing and repr ignore
+        them."""
+        try:
+            return self._classes
+        except AttributeError:
+            classes = tuple(curve_class(c, self.genus) for c in self.cycles)
+            object.__setattr__(self, "_classes", classes)
+            return classes
 
 
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
@@ -265,8 +294,7 @@ def composite_endo(f: Factorization) -> Endo:
     return conjugator_endo(_composite_tokens(f))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of an identity check at a given strictness level."""
 
     level: str
@@ -347,8 +375,7 @@ def fiber_sum(f1: Factorization, f2: Factorization) -> Factorization:
     return Factorization(f1.genus, f1.cycles + f2.cycles, 0)
 
 
-@dataclass(frozen=True)
-class LanternInstance:
+class LanternInstance(NamedTuple):
     """A registered four-holed-sphere relation: four boundary twists
     equal three interior twists.  Boundary and interior curves are
     stored in application order."""

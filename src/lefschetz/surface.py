@@ -23,18 +23,35 @@ Other genera carry homology data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import freegroup
 from .freegroup import Word
 
 
-@dataclass(frozen=True, eq=False)
 class Surface:
-    genus: int
-    curve_classes: dict[str, tuple[int, ...]] = field(repr=False)
-    curve_words: dict[str, Word] = field(repr=False)
+    """The labeled curves of the genus-g surface.  Instances are
+    immutable and compare by identity; ``standard_surface`` makes one
+    per genus."""
+
+    __slots__ = ("genus", "curve_classes", "curve_words")
+
+    def __init__(self, genus: int, curve_classes: dict[str, tuple[int, ...]],
+                 curve_words: dict[str, Word]) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "curve_classes", curve_classes)
+        object.__setattr__(self, "curve_words", curve_words)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Surface, (self.genus, self.curve_classes, self.curve_words)
+
+    def __repr__(self) -> str:
+        return f"Surface(genus={self.genus!r})"
 
     @property
     def labels(self) -> tuple[str, ...]:

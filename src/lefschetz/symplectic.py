@@ -20,10 +20,10 @@ fixes all four.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from math import prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import intlinalg
 from .intlinalg import Matrix, identity_matrix
@@ -69,8 +69,7 @@ def symplectic_group_order(genus: int, p: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """The order of the group that generators span in Sp(4, Z/p)."""
 
     prime: int
@@ -259,8 +258,7 @@ def mod_p_closure(
     return ClosureReport(p, _chain_order(perms, p, full))
 
 
-@dataclass(frozen=True)
-class TransitivityCertificate:
+class TransitivityCertificate(NamedTuple):
     """Closure reports over a set of primes, with the only verdicts the
     finite quotients can support.
 

@@ -64,6 +64,17 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_two_naming_the_decoding_failure(tmp_path,
+                                                              capsys):
+    latin = tmp_path / "latin-1.json"
+    latin.write_bytes(b'{"genus": 2, "note": "\xe9"}')
+    assert main(["check", str(latin)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {latin} is not UTF-8 text: invalid continuation byte\n")
+
+
 def test_missing_file_exits_two(tmp_path):
     assert main(["check", str(tmp_path / "absent.txt")]) == 2
 
@@ -275,6 +286,18 @@ def test_default_transitivity_fits_in_512_mb_without_numpy():
     assert "p=3: closure order 51840 of 51840 (full)" in lines
     assert "p=5: closure order 9360000 of 9360000 (full)" in lines
     assert "numpy imported: False" in lines
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Together they cost every fresh ``lefschetz`` process about 25 ms.
+    result = _run_under_address_limit(512, """
+        import sys
+        import lefschetz.cli
+
+        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("pair", [("t1", "T2"), ("t3", "T2")])
