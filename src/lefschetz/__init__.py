@@ -11,15 +11,8 @@ counts (n, s) are attainable in genus 2.
 """
 
 from .intlinalg import AbelianGroup, smith_normal_form
-from .surface import Surface, algebraic_intersection
-from .freegroup import (
-    Endo,
-    Word,
-    boundary_word,
-    compose,
-    identity_endo,
-    twist_endo,
-)
+from .surface import algebraic_intersection
+from .freegroup import Endo, Word, boundary_word, compose
 from .monodromy import (
     Curve,
     Factorization,
@@ -55,7 +48,6 @@ from .invariants import (
     first_homology,
     invariant_report,
     pi1_presentation,
-    presentation_h1,
     signature_g2,
 )
 from .feasibility import (
@@ -91,7 +83,6 @@ __all__ = [
     "NSReport",
     "ParseError",
     "Presentation",
-    "Surface",
     "TransitivityCertificate",
     "Word",
     "admissible",
@@ -114,7 +105,6 @@ __all__ = [
     "global_conjugate",
     "hurwitz_move",
     "identity_check",
-    "identity_endo",
     "indecomposability_check",
     "invariant_report",
     "lantern_substitute",
@@ -122,7 +112,6 @@ __all__ = [
     "ns_type",
     "parse_factorization",
     "pi1_presentation",
-    "presentation_h1",
     "rotate",
     "serialize_factorization",
     "signature_g2",
@@ -131,5 +120,4 @@ __all__ = [
     "symplectic_group_order",
     "transitivity_certificate",
     "transvection",
-    "twist_endo",
 ]

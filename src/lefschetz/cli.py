@@ -116,9 +116,12 @@ def _cmd_sub(args: argparse.Namespace) -> int:
 
 
 def _cmd_transitivity(args: argparse.Namespace) -> int:
+    try:  # a repeated prime is reported once, at its first place
+        primes = tuple(dict.fromkeys(map(int, args.primes.split(","))))
+    except ValueError:
+        raise ValueError("--primes takes comma-separated integers, "
+                         f"got {args.primes!r}") from None
     f = _load(args.src)
-    # A repeated prime is reported once, at its first place in the list.
-    primes = tuple(dict.fromkeys(int(p) for p in args.primes.split(",")))
     generators = [symplectic.transvection(c) for c in f.classes]
     certificate = symplectic.transitivity_certificate(generators, primes)
     for entry in certificate.entries:

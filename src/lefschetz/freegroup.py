@@ -1,5 +1,6 @@
-"""Words in a finitely generated free group, and the twist action on the
-fundamental group of a genus-2 surface.
+"""Words in a finitely generated free group, and the free-group model of
+the genus-2 surface: its curve words and the twist action on its
+fundamental group.  The homology model lives in :mod:`lefschetz.surface`.
 
 A word is a tuple of nonzero ints: letter ``i > 0`` is the i-th generator
 and ``-i`` its inverse.  For the genus-2 surface we fix the generators
@@ -7,7 +8,8 @@ and ``-i`` its inverse.  For the genus-2 surface we fix the generators
     a1, b1, a2, b2  =  1, 2, 3, 4
 
 coming from a one-holed model whose boundary reads off the product of
-commutators ``a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1``.  Every twist
+commutators ``a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1``.  ``LABEL_WORDS``
+holds the curve words that the twist tables were computed with.  Every twist
 recorded below fixes that boundary word exactly, which is what makes the
 tables usable for cut-open surface computations.
 
@@ -70,17 +72,6 @@ def cyclic_split(word: Sequence[int]) -> tuple[Word, Word]:
     return w[i:j], w[:i]
 
 
-def abelianize(word: Sequence[int], rank: int) -> tuple[int, ...]:
-    """Exponent-sum vector of ``word`` over the first ``rank`` generators."""
-    v = [0] * rank
-    for x in word:
-        g = abs(x)
-        if g > rank:
-            raise ValueError(f"letter {x} outside rank {rank}")
-        v[g - 1] += 1 if x > 0 else -1
-    return tuple(v)
-
-
 def boundary_word(genus: int) -> Word:
     """Product of commutators [a1,b1]...[ag,bg] in the letters 1..2g."""
     if genus < 1:
@@ -90,10 +81,6 @@ def boundary_word(genus: int) -> Word:
         a, b = 2 * h + 1, 2 * h + 2
         out.extend((a, b, -a, -b))
     return tuple(out)
-
-
-def identity_endo(rank: int) -> Endo:
-    return tuple((i,) for i in range(1, rank + 1))
 
 
 def apply_endo(images: Endo, word: Sequence[int]) -> Word:
@@ -149,10 +136,16 @@ def is_inner(images: Endo) -> Word | None:
     return None
 
 
-# Twist tables for the genus-2 surface group, generators a1, b1, a2, b2.
-# Labels c1..c5 are the standard chain of simple closed curves
-# (classes a1, b1, a1+a2, b2, a2) and s1 is the separating curve
-# cutting off the first handle.  Sign +1 is the right-handed twist.
+# The based word of each genus-2 curve label in the generators a1, b1,
+# a2, b2: c1..c5 are the standard chain of simple closed curves (classes
+# a1, b1, a1+a2, b2, a2) and s1 is the separating curve cutting off the
+# first handle.
+LABEL_WORDS: dict[str, Word] = {
+    "c1": (1,), "c2": (2,), "c3": (1, 3), "c4": (4,), "c5": (3,),
+    "s1": boundary_word(1),
+}
+
+# Twist tables for the same six curves.  Sign +1 is the right-handed twist.
 #
 # The c tables were derived in a fixed one-holed model; the s1 tables are
 # composed from them through TWO_CHAIN below.  The test suite pins them:
@@ -200,11 +193,3 @@ TWIST_INNER_PARTS: dict[tuple[str, int], Word] = {
     ("c3", 1): (-3, -1),
     ("c3", -1): (1, 3),
 }
-
-
-def twist_endo(label: str, sign: int = 1) -> Endo:
-    """Generator images of the twist about a standard genus-2 curve."""
-    try:
-        return TWIST_IMAGES[(label, sign)]
-    except KeyError:
-        raise ValueError(f"no genus-2 twist table for {label!r} sign {sign}")

@@ -143,13 +143,6 @@ def pi1_presentation(f: Factorization) -> Presentation:
     return Presentation(("a1", "b1", "a2", "b2"), tuple(relators))
 
 
-def presentation_h1(p: Presentation) -> AbelianGroup:
-    """Abelianization of a presentation (cokernel of the relator matrix)."""
-    rank = len(p.generators)
-    rows = [freegroup.abelianize(w, rank) for w in p.relators]
-    return quotient_by_rows(rows, rank)
-
-
 class BettiBoundReport(NamedTuple):
     """The first-Betti-number bound plus its witness obstruction."""
 

@@ -29,7 +29,7 @@ from . import freegroup
 from . import symplectic
 from .freegroup import Endo, Word
 from .intlinalg import is_identity_matrix
-from .surface import algebraic_intersection, standard_surface
+from .surface import algebraic_intersection, label_classes
 
 Token = tuple[str, int]
 
@@ -97,7 +97,7 @@ class Factorization:
         if type(base_genus) is not int or base_genus < 0:
             raise ValueError("base genus must be a nonnegative integer")
         cycles = tuple(cycles)
-        known = standard_surface(genus).curve_classes
+        known = label_classes(genus)
         for i, curve in enumerate(cycles):
             if not isinstance(curve.base, str) or curve.base not in known:
                 raise ValueError(
@@ -160,10 +160,9 @@ class Factorization:
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     """Homology class of a conjugated standard curve: the base class pushed
     through the conjugator's signed transvections, innermost token first."""
-    surf = standard_surface(genus)
-    steps = ((surf.class_of(label), sign)
-             for label, sign in reversed(curve.conj))
-    return symplectic.push_class(surf.class_of(curve.base), steps)
+    classes = label_classes(genus)
+    steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
+    return symplectic.push_class(classes[curve.base], steps)
 
 
 # Images may grow geometrically with the token word, so the fold stops
@@ -233,7 +232,7 @@ def curve_word(curve: Curve, genus: int) -> Word:
     if genus != 2:
         raise ValueError("free-group curve words are available only at genus 2")
     endo = conjugator_endo(curve.conj)
-    return freegroup.apply_endo(endo, standard_surface(2).word_of(curve.base))
+    return freegroup.apply_endo(endo, freegroup.LABEL_WORDS[curve.base])
 
 
 def twist_tokens(curve: Curve, sign: int = 1) -> tuple[Token, ...]:
@@ -416,6 +415,8 @@ def lantern_substitute(f: Factorization, at: int) -> Factorization:
     """Replace four consecutive boundary twists of ``standard_lantern()``,
     starting at position ``at``, by its three interior twists; the
     homology image is checked unchanged."""
+    if f.genus != 2:
+        raise ValueError("lantern substitution is a genus-2 computation")
     if not 0 <= at <= len(f.cycles) - 4:
         raise IndexError(f"no four consecutive cycles at position {at}")
     instance = standard_lantern()

@@ -1,6 +1,8 @@
-"""Reference data for a closed oriented surface of genus g: the symplectic
-basis of first homology, the standard chain of simple closed curves, and
-the separating curves that split off low-genus pieces.
+"""The homology model of a closed oriented surface of genus g: the
+symplectic basis of first homology and the classes of the standard
+labeled curves.  The free-group model of the genus-2 surface (curve
+words and twist tables) lives in :mod:`lefschetz.freegroup`; this
+module does not import it.
 
 Homology coordinates are taken in the ordered basis
 ``a1, b1, a2, b2, ..., ag, bg`` with intersection pairing
@@ -10,63 +12,14 @@ built from it (see :mod:`lefschetz.symplectic`).  The chain curves are
 labeled ``c1 .. c{2g+1}``; odd ones carry class ``a_{i-1} + a_i`` (ends
 of the chain degenerate to a single ``a``), even ones carry ``b_i``.
 The curve ``s_h`` separates the first h handles from the rest and is
-null homologous.  The labels are the keys of the class table, in label
-order ``c1 .. c{2g+1}, s1 .. s{g-1}``; ``standard_surface`` is the one
-place that spells them out.
-
-At genus 2 a based free-group word is recorded for every labeled
-curve, in the letters of :mod:`lefschetz.freegroup`.  Those words are
-exactly the representatives the twist tables were computed with, so the
-two views (word and homology class) stay consistent under twisting.
-Other genera carry homology data only.
+null homologous.  ``label_classes`` is the one place that spells the
+labels out, in the order ``c1 .. c{2g+1}, s1 .. s{g-1}``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from . import freegroup
-from .freegroup import Word
-
-
-class Surface:
-    """The labeled curves of the genus-g surface.  Instances are
-    immutable and compare by identity; ``standard_surface`` makes one
-    per genus."""
-
-    __slots__ = ("genus", "curve_classes", "curve_words")
-
-    def __init__(self, genus: int, curve_classes: dict[str, tuple[int, ...]],
-                 curve_words: dict[str, Word]) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "curve_classes", curve_classes)
-        object.__setattr__(self, "curve_words", curve_words)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return Surface, (self.genus, self.curve_classes, self.curve_words)
-
-    def __repr__(self) -> str:
-        return f"Surface(genus={self.genus!r})"
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.curve_classes)
-
-    def class_of(self, label: str) -> tuple[int, ...]:
-        return self.curve_classes[label]
-
-    def word_of(self, label: str) -> Word:
-        if label not in self.curve_words:
-            raise KeyError(
-                f"no free-group word for {label!r}: words are recorded only "
-                "at genus 2"
-            )
-        return self.curve_words[label]
+from types import MappingProxyType
 
 
 def algebraic_intersection(u, v) -> int:
@@ -81,32 +34,24 @@ def algebraic_intersection(u, v) -> int:
 
 
 @lru_cache(maxsize=None)
-def standard_surface(genus: int) -> Surface:
+def label_classes(genus: int) -> MappingProxyType[str, tuple[int, ...]]:
+    """Read-only map from each curve label of the genus-g surface to its
+    homology class, in label order.  One map is built per genus and
+    shared, so it cannot be changed."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
     if genus > 100:  # 3g class vectors of length 2g: memory grows as g^2
         raise ValueError("genus above 100 is not supported")
     rank = 2 * genus
     classes: dict[str, tuple[int, ...]] = {}
-    words: dict[str, Word] = {}
-
-    def basis_vector(*letters: int) -> tuple[int, ...]:
-        v = [0] * rank
-        for x in letters:
-            v[x - 1] += 1
-        return tuple(v)
-
-    record_words = genus == 2
     for i in range(1, rank + 2):
         # odd c_{2k-1} carries a_{k-1} + a_k (one a at the chain's ends),
         # even c_{2k} carries b_k
         letters = tuple(x for x in (i - 2, i) if 0 < x < rank) if i % 2 else (i,)
-        classes[f"c{i}"] = basis_vector(*letters)
-        if record_words:
-            words[f"c{i}"] = letters
+        v = [0] * rank
+        for x in letters:
+            v[x - 1] += 1
+        classes[f"c{i}"] = tuple(v)
     for h in range(1, genus):
-        label = f"s{h}"
-        classes[label] = (0,) * rank
-        if record_words:
-            words[label] = freegroup.boundary_word(h)
-    return Surface(genus, classes, words)
+        classes[f"s{h}"] = (0,) * rank
+    return MappingProxyType(classes)

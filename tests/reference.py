@@ -5,10 +5,12 @@ homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
 references: products, determinants, the pairing's matrix J, the
 symplectic condition m^T J m = J, the orbit of e1 mod p, and invariant
-factors from the gcds of minors.  Two free-group references sit beside
-them: ``same_loop``, conjugacy up to inversion by comparing every
-rotation of the cyclic reductions, and ``S1_TWIST_IMAGES``, the s1 twist
-tables as conjugations of the first handle.
+factors from the gcds of minors.  Three free-group references sit
+beside them: ``abelianize``, a word's exponent-sum vector (the H1 oracle
+for presentations); ``same_loop``, conjugacy up to inversion by
+comparing every rotation of the cyclic reductions; and
+``S1_TWIST_IMAGES``, the s1 twist tables as conjugations of the first
+handle.
 """
 
 from collections.abc import Sequence
@@ -116,6 +118,17 @@ def acts_transitively_mod_p(generators: Sequence[Sequence[Sequence[int]]],
                     nxt.append(w)
         frontier = nxt
     return len(seen) == p**n - 1
+
+
+def abelianize(word: Sequence[int], rank: int) -> tuple[int, ...]:
+    """Exponent-sum vector of ``word`` over the first ``rank`` generators."""
+    v = [0] * rank
+    for x in word:
+        g = abs(x)
+        if g > rank:
+            raise ValueError(f"letter {x} outside rank {rank}")
+        v[g - 1] += 1 if x > 0 else -1
+    return tuple(v)
 
 
 def _free_reduce(word: Sequence[int]) -> tuple[int, ...]:

@@ -197,6 +197,17 @@ def test_sub_mismatch_exits_one(argv, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+def test_sub_lantern_names_genus_two_off_genus_two(tmp_path, capsys):
+    # The registered lantern is a genus-2 configuration, so a genus-3 word
+    # is refused for its genus, not for a changed homology image.
+    word = tmp_path / "word.json"
+    boundary = (Curve("c1"), Curve("c1"), Curve("c5"), Curve("c5"))
+    word.write_text(serialize_factorization(Factorization(3, boundary)))
+    assert main(["sub", "lantern", str(word), "--at", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "lantern substitution is a genus-2 computation\n")
+
+
 @pytest.mark.parametrize("command, cycles, code, out", [
     ("invariants", (Curve("c1"),), 1,
      "factorization is not an identity word at the homology level; "
@@ -235,6 +246,15 @@ def test_transitivity_reports_a_repeated_prime_once(capsys):
         "p=3: closure order 51840 of 51840 (full)\n"
         "p=2: closure order 720 of 720 (full)\n"
         "verdict: consistent with transitive\n")
+
+
+@pytest.mark.parametrize("primes", ["2,,3", "", "abc"])
+def test_transitivity_names_a_malformed_primes_list(primes, capsys):
+    assert main(["transitivity", "catalog:chakiris-gamma",
+                 "--primes", primes]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --primes takes comma-separated integers, "
+        f"got {primes!r}\n")
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

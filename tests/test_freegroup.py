@@ -3,8 +3,10 @@ from functools import reduce
 import pytest
 
 from lefschetz import freegroup as fg
-from lefschetz.surface import standard_surface
-from reference import S1_TWIST_IMAGES, same_loop
+from lefschetz.surface import label_classes
+from reference import S1_TWIST_IMAGES, abelianize, same_loop
+
+IDENTITY = ((1,), (2,), (3,), (4,))
 
 
 def test_free_reduce():
@@ -32,20 +34,18 @@ def test_cyclic_normal_form_and_same_loop():
 
 
 def test_abelianize():
-    assert fg.abelianize((1, 2, -1, -2), 2) == (0, 0)
-    assert fg.abelianize((1, 1, 3), 4) == (2, 0, 1, 0)
+    assert abelianize((1, 2, -1, -2), 2) == (0, 0)
+    assert abelianize((1, 1, 3), 4) == (2, 0, 1, 0)
 
 
 def test_boundary_word():
     assert fg.boundary_word(1) == (1, 2, -1, -2)
     assert fg.boundary_word(2) == (1, 2, -1, -2, 3, 4, -3, -4)
-    assert fg.abelianize(fg.boundary_word(2), 4) == (0, 0, 0, 0)
+    assert abelianize(fg.boundary_word(2), 4) == (0, 0, 0, 0)
 
 
 def test_identity_endo_and_apply():
-    e = fg.identity_endo(4)
-    assert e == ((1,), (2,), (3,), (4,))
-    assert fg.apply_endo(e, (1, -3, 2)) == (1, -3, 2)
+    assert fg.apply_endo(IDENTITY, (1, -3, 2)) == (1, -3, 2)
 
 
 def test_compose_order():
@@ -59,42 +59,42 @@ def test_compose_order():
 
 def test_twist_endos_fix_homology_classes_correctly():
     # a twist about a curve adds that curve's class to transverse classes
-    e = fg.twist_endo("c1")
-    assert fg.abelianize(fg.apply_endo(e, (2,)), 4) == (1, 1, 0, 0)
+    e = fg.TWIST_IMAGES["c1", 1]
+    assert abelianize(fg.apply_endo(e, (2,)), 4) == (1, 1, 0, 0)
     assert fg.apply_endo(e, (3,)) == (3,)
-    e = fg.twist_endo("s1")
+    e = fg.TWIST_IMAGES["s1", 1]
     for letter in (1, 2):
-        assert fg.abelianize(fg.apply_endo(e, (letter,)), 4)[:2] == \
-            fg.abelianize((letter,), 4)[:2]
+        assert abelianize(fg.apply_endo(e, (letter,)), 4)[:2] == \
+            abelianize((letter,), 4)[:2]
 
 
 def test_twist_endo_inverse_composes_to_identity():
-    for label in standard_surface(2).labels:
-        e = fg.compose(fg.twist_endo(label), fg.twist_endo(label, -1))
-        assert e == fg.identity_endo(4)
+    for label in fg.LABEL_WORDS:
+        e = fg.compose(fg.TWIST_IMAGES[label, 1], fg.TWIST_IMAGES[label, -1])
+        assert e == IDENTITY
 
 
 def test_twist_endos_preserve_boundary_word():
     # automorphisms of the closed-surface group fix the relator up to
     # conjugacy; the standard twists fix it on the nose or by conjugation
     relator = fg.boundary_word(2)
-    for label in standard_surface(2).labels:
-        image = fg.apply_endo(fg.twist_endo(label), relator)
+    for label in fg.LABEL_WORDS:
+        image = fg.apply_endo(fg.TWIST_IMAGES[label, 1], relator)
         assert same_loop(image, relator)
 
 
 def test_braid_relation_for_adjacent_twists():
     # adjacent chain twists satisfy aba = bab
-    a = fg.twist_endo("c1")
-    b = fg.twist_endo("c2")
+    a = fg.TWIST_IMAGES["c1", 1]
+    b = fg.TWIST_IMAGES["c2", 1]
     aba = fg.compose(a, fg.compose(b, a))
     bab = fg.compose(b, fg.compose(a, b))
     assert aba == bab
 
 
 def test_disjoint_twists_commute():
-    a = fg.twist_endo("c1")
-    b = fg.twist_endo("c4")
+    a = fg.TWIST_IMAGES["c1", 1]
+    b = fg.TWIST_IMAGES["c4", 1]
     assert fg.compose(a, b) == fg.compose(b, a)
 
 
@@ -102,9 +102,9 @@ def test_disjoint_twists_commute():
 def test_s1_tables_are_the_two_chain_composite(sign):
     # The derived tables equal the hand-written conjugations of the first
     # handle, and composing the chain in either order gives them.
-    assert fg.twist_endo("s1", sign) == S1_TWIST_IMAGES[sign]
+    assert fg.TWIST_IMAGES["s1", sign] == S1_TWIST_IMAGES[sign]
     for pair in (("c1", "c2"), ("c2", "c1")):
-        tables = [fg.twist_endo(label, sign) for label in pair * 6]
+        tables = [fg.TWIST_IMAGES[label, sign] for label in pair * 6]
         assert reduce(fg.compose, tables) == S1_TWIST_IMAGES[sign]
 
 
@@ -115,8 +115,8 @@ def test_is_inner():
         fg.free_reduce(conj + (i,) + fg.inverse(conj)) for i in range(1, rank + 1)
     )
     assert fg.is_inner(inner) == (1, 2)
-    assert fg.is_inner(fg.identity_endo(rank)) == ()
-    assert fg.is_inner(fg.twist_endo("c1")) is None
+    assert fg.is_inner(IDENTITY) == ()
+    assert fg.is_inner(fg.TWIST_IMAGES["c1", 1]) is None
 
 
 @pytest.mark.parametrize("k", [5000, -5000])
@@ -127,6 +127,10 @@ def test_is_inner_solves_large_conjugator_powers(k):
     assert fg.is_inner(images) == w
 
 
-def test_twist_endo_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        fg.twist_endo("c9")
+def test_label_words_abelianize_to_the_label_classes():
+    # The two models of the genus-2 surface name the same curves in the
+    # same order, and each word's exponent sums are its label's class.
+    classes = label_classes(2)
+    assert tuple(fg.LABEL_WORDS) == tuple(classes)
+    for label, word in fg.LABEL_WORDS.items():
+        assert abelianize(word, 4) == classes[label]

@@ -230,7 +230,7 @@ def test_curve_twist_endo_rejects_a_label_without_a_table():
 
 def test_composite_endo_matches_twist_composition():
     f = Factorization(2, (Curve("c1"), Curve("c2")), 0)
-    direct = fg.compose(fg.twist_endo("c2"), fg.twist_endo("c1"))
+    direct = fg.compose(fg.TWIST_IMAGES["c2", 1], fg.TWIST_IMAGES["c1", 1])
     assert composite_endo(f) == direct
 
 
@@ -267,7 +267,7 @@ def test_conjugator_endo_bounds_the_images_it_builds(monkeypatch):
 
 def test_twist_about_unreduced_conjugate_inverts():
     curve = Curve("c3", (("c1", 1), ("c2", -1), ("c2", 1), ("s1", 1)))
-    identity = fg.identity_endo(4)
+    identity = ((1,), (2,), (3,), (4,))
     inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
     assert fg.compose(inverse, curve_twist_endo(curve)) == identity
     assert fg.compose(curve_twist_endo(curve), inverse) == identity

@@ -38,11 +38,12 @@ from lefschetz.monodromy import (
     twist_product_tokens,
     twist_tokens,
 )
-from lefschetz.surface import standard_surface
+from lefschetz.surface import label_classes
 from lefschetz.symplectic import evaluate_classes, transvection
 from reference import invariant_factors, mat_mul, mat_vec
 
 RANK = 4
+IDENTITY = tuple((g,) for g in range(1, RANK + 1))
 LETTERS = [s * g for g in range(1, RANK + 1) for s in (1, -1)]
 
 
@@ -52,7 +53,7 @@ def words(max_size):
     )
 
 
-tokens = st.tuples(st.sampled_from(standard_surface(2).labels),
+tokens = st.tuples(st.sampled_from(tuple(label_classes(2))),
                    st.sampled_from((1, -1)))
 
 
@@ -101,10 +102,10 @@ def test_inner_composed_with_one_twist_is_not_inner(w, key, twist_first):
 def test_is_inner_matches_power_scan(w, toks, undo, tweak):
     images = conjugation(w)
     for label, sign in toks:
-        images = fg.compose(images, fg.twist_endo(label, sign))
+        images = fg.compose(images, fg.TWIST_IMAGES[label, sign])
     if undo:
         for label, sign in reversed(toks):
-            images = fg.compose(images, fg.twist_endo(label, -sign))
+            images = fg.compose(images, fg.TWIST_IMAGES[label, -sign])
     if tweak is not None:
         i, extra = tweak
         images = images[:i] + (fg.concat(images[i], extra),) + images[i + 1 :]
@@ -113,7 +114,7 @@ def test_is_inner_matches_power_scan(w, toks, undo, tweak):
 
 @st.composite
 def curves(draw, genus, max_conj=10):
-    labels = standard_surface(genus).labels
+    labels = tuple(label_classes(genus))
     conj = draw(st.lists(st.tuples(st.sampled_from(labels),
                                    st.sampled_from((1, -1))), max_size=max_conj))
     return Curve(draw(st.sampled_from(labels)), tuple(conj))
@@ -128,17 +129,17 @@ def genus_and_curve(draw):
 @given(genus_and_curve())
 def test_curve_class_is_the_transvection_product(genus_curve):
     genus, curve = genus_curve
-    surf = standard_surface(genus)
+    classes = label_classes(genus)
     mat = identity_matrix(2 * genus)
     for label, sign in curve.conj:
-        step = transvection(surf.class_of(label))
+        step = transvection(classes[label])
         if sign < 0:
             # transvection(c) is I + N with x -> <x, c> c as N, so its
             # inverse x -> x - <x, c> c is I - N = 2I - transvection(c).
             step = tuple(tuple(2 * (i == k) - x for k, x in enumerate(row))
                          for i, row in enumerate(step))
         mat = mat_mul(mat, step)
-    assert curve_class(curve, genus) == mat_vec(mat, surf.class_of(curve.base))
+    assert curve_class(curve, genus) == mat_vec(mat, classes[curve.base])
 
 
 @st.composite
@@ -168,12 +169,12 @@ def plain_compose(outer, inner):
 def reference_twist(curve, sign=1):
     """Reference: the twist as ``psi . core . psi^-1``, where ``psi`` is the
     conjugator's automorphism, folded token by token."""
-    psi = psi_inv = fg.identity_endo(RANK)
+    psi = psi_inv = IDENTITY
     for label, s in curve.conj:
-        psi = plain_compose(psi, fg.twist_endo(label, s))
+        psi = plain_compose(psi, fg.TWIST_IMAGES[label, s])
     for label, s in reversed(curve.conj):
-        psi_inv = plain_compose(psi_inv, fg.twist_endo(label, -s))
-    return plain_compose(psi, plain_compose(fg.twist_endo(curve.base, sign),
+        psi_inv = plain_compose(psi_inv, fg.TWIST_IMAGES[label, -s])
+    return plain_compose(psi, plain_compose(fg.TWIST_IMAGES[curve.base, sign],
                                             psi_inv))
 
 
@@ -181,7 +182,7 @@ def reference_composite(f):
     """Reference: fold the per-curve twists, first cycle innermost, with
     the twist about each distinct curve built once."""
     twists = {}
-    acc = fg.identity_endo(RANK)
+    acc = IDENTITY
     for curve in f.cycles:
         if curve not in twists:
             twists[curve] = reference_twist(curve)
@@ -291,7 +292,7 @@ def factorization_and_moves(draw):
     and the parameters of a global conjugation, a rotation and some
     Hurwitz moves."""
     genus = draw(st.integers(1, 3))
-    labels = standard_surface(genus).labels
+    labels = tuple(label_classes(genus))
     cycles = st.lists(curves(genus, max_conj=3), min_size=2, max_size=5)
     prefix = st.lists(st.tuples(st.sampled_from(labels),
                                 st.sampled_from((1, -1))), max_size=3)
@@ -342,9 +343,8 @@ def test_compose_with_single_letter_images(outer, inner):
     a = reference_twist(Curve("c3", tuple(outer)))
     inner = tuple(inner)
     assert fg.compose(a, inner) == plain_compose(a, inner)
-    identity = fg.identity_endo(RANK)
-    assert fg.compose(a, identity) == plain_compose(a, identity) == a
-    assert fg.compose(identity, a) == a
+    assert fg.compose(a, IDENTITY) == plain_compose(a, IDENTITY) == a
+    assert fg.compose(IDENTITY, a) == a
 
 
 @st.composite

@@ -7,19 +7,19 @@ PUBLIC_NAMES = [
     "AbelianGroup", "BettiBoundReport", "ClosureReport", "Curve", "Endo",
     "Factorization", "FamilyReport", "IdentityReport",
     "IndecomposabilityReport", "InvariantReport", "LanternInstance",
-    "NSReport", "ParseError", "Presentation", "Surface",
+    "NSReport", "ParseError", "Presentation",
     "TransitivityCertificate", "Word", "admissible",
     "algebraic_intersection", "b2plus_one_types", "basis_pair_search",
     "betti_bound_check", "boundary_word", "catalog", "chain_substitute",
     "compose", "curve_class", "emit_chart", "enumerate_types",
     "euler_characteristic", "evaluate", "family_invariants", "fiber_sum",
     "first_homology", "global_conjugate", "hurwitz_move", "identity_check",
-    "identity_endo", "indecomposability_check", "invariant_report",
+    "indecomposability_check", "invariant_report",
     "lantern_substitute", "mod_p_closure", "ns_type", "parse_factorization",
-    "pi1_presentation", "presentation_h1", "rotate",
+    "pi1_presentation", "rotate",
     "serialize_factorization", "signature_g2", "smith_normal_form",
     "standard_lantern", "symplectic_group_order", "transitivity_certificate",
-    "transvection", "twist_endo",
+    "transvection",
 ]
 
 

@@ -1,6 +1,15 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from lefschetz.surface import algebraic_intersection, standard_surface
+import lefschetz
+from lefschetz.monodromy import Curve, Factorization
+from lefschetz.surface import algebraic_intersection, label_classes
+
+SRC = Path(lefschetz.__file__).resolve().parent
 
 
 def test_algebraic_intersection_bilinear():
@@ -24,25 +33,25 @@ def test_algebraic_intersection_bilinear():
             assert algebraic_intersection(u, v) == 0
 
 
-def test_standard_surface_labels():
-    s = standard_surface(2)
-    assert len(s.class_of("c1")) == 4
-    assert s.labels == ("c1", "c2", "c3", "c4", "c5", "s1")
+def test_label_classes_genus_two():
+    s = label_classes(2)
+    assert len(s["c1"]) == 4
+    assert tuple(s) == ("c1", "c2", "c3", "c4", "c5", "s1")
 
 
-def test_standard_surface_classes():
-    s = standard_surface(2)
-    assert s.class_of("c1") == (1, 0, 0, 0)
-    assert s.class_of("c2") == (0, 1, 0, 0)
-    assert s.class_of("c3") == (1, 0, 1, 0)
-    assert s.class_of("c4") == (0, 0, 0, 1)
-    assert s.class_of("c5") == (0, 0, 1, 0)
-    assert s.class_of("s1") == (0, 0, 0, 0)
+def test_label_classes_values():
+    s = label_classes(2)
+    assert s["c1"] == (1, 0, 0, 0)
+    assert s["c2"] == (0, 1, 0, 0)
+    assert s["c3"] == (1, 0, 1, 0)
+    assert s["c4"] == (0, 0, 0, 1)
+    assert s["c5"] == (0, 0, 1, 0)
+    assert s["s1"] == (0, 0, 0, 0)
 
 
 def test_chain_curve_classes_intersect_like_a_chain():
-    s = standard_surface(2)
-    chain = [s.class_of(f"c{i}") for i in range(1, 6)]
+    s = label_classes(2)
+    chain = [s[f"c{i}"] for i in range(1, 6)]
     for i, u in enumerate(chain):
         for j, v in enumerate(chain):
             expected = 1 if j == i + 1 else -1 if j == i - 1 else 0
@@ -50,26 +59,67 @@ def test_chain_curve_classes_intersect_like_a_chain():
 
 
 def test_genus_three_has_seven_chain_curves():
-    s = standard_surface(3)
-    assert s.labels == tuple(f"c{i}" for i in range(1, 8)) + ("s1", "s2")
-    assert len(s.class_of("c1")) == 6
+    s = label_classes(3)
+    assert tuple(s) == tuple(f"c{i}" for i in range(1, 8)) + ("s1", "s2")
+    assert len(s["c1"]) == 6
 
 
 def test_genus_zero_rejected():
     with pytest.raises(ValueError):
-        standard_surface(0)
+        label_classes(0)
 
 
 def test_genus_above_one_hundred_rejected():
-    assert len(standard_surface(100).class_of("c1")) == 200
+    assert len(label_classes(100)["c1"]) == 200
     with pytest.raises(ValueError, match="genus above 100"):
-        standard_surface(101)
+        label_classes(101)
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3, 4])
 def test_labels_are_the_class_table_in_label_order(genus):
-    s = standard_surface(genus)
     chain = tuple(f"c{i}" for i in range(1, 2 * genus + 2))
     separating = tuple(f"s{h}" for h in range(1, genus))
-    assert s.labels == chain + separating
-    assert tuple(s.curve_classes) == s.labels
+    assert tuple(label_classes(genus)) == chain + separating
+
+
+def test_the_shared_class_table_cannot_be_changed():
+    # One table per genus is cached and shared; a caller that could write
+    # to it would make a bad label valid for the rest of the process.
+    table = label_classes(2)
+    with pytest.raises(TypeError):
+        table["c9"] = (0, 0, 0, 0)
+    assert label_classes(2) is table and "c9" not in table
+    with pytest.raises(ValueError, match="unknown curve label 'c9'"):
+        Factorization(2, (Curve("c9"),))
+
+
+def _imports_freegroup(module: str) -> bool:
+    # The package's __init__ imports every module, so a stub package with
+    # the same path stands in for it: only the named module's own imports
+    # then load.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('lefschetz')\n"
+        f"pkg.__path__ = [{str(SRC)!r}]\n"
+        "sys.modules['lefschetz'] = pkg\n"
+        f"import lefschetz.{module}\n"
+        "print('lefschetz.freegroup' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return out == "True\n"
+
+
+def test_surface_does_not_import_the_free_group_model():
+    assert not _imports_freegroup("surface")
+    assert _imports_freegroup("monodromy")  # the probe can see an import
+
+
+def test_removed_wrappers_are_gone_from_the_package():
+    removed = re.compile(r"standard_surface|\bSurface\b|\btwist_endo"
+                         r"|identity_endo|presentation_h1|abelianize")
+    hits = [f"{path.name}:{n}"
+            for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+            if removed.search(line)]
+    assert hits == []

@@ -6,7 +6,7 @@ import pytest
 from lefschetz.catalog import get_factorization
 from lefschetz.intlinalg import identity_matrix, is_identity_matrix
 from lefschetz.monodromy import curve_class
-from lefschetz.surface import algebraic_intersection, standard_surface
+from lefschetz.surface import algebraic_intersection, label_classes
 from lefschetz.symplectic import (
     _column_pairings,
     _vector_permutation,
@@ -23,8 +23,8 @@ from reference import (
 
 
 def _chain_transvections():
-    s = standard_surface(2)
-    return [transvection(s.class_of(f"c{i}")) for i in range(1, 6)]
+    s = label_classes(2)
+    return [transvection(s[f"c{i}"]) for i in range(1, 6)]
 
 
 def _set_closure_order(generators, p):
@@ -89,9 +89,9 @@ def test_transvection_is_the_rank_one_matrix_update():
 
 
 def test_transvection_is_symplectic():
-    s = standard_surface(2)
-    for label in s.labels:
-        assert is_symplectic(transvection(s.class_of(label)))
+    s = label_classes(2)
+    for label in s:
+        assert is_symplectic(transvection(s[label]))
 
 
 def test_transvection_of_null_class_is_identity():
@@ -99,15 +99,15 @@ def test_transvection_of_null_class_is_identity():
 
 
 def test_transvection_moves_transverse_class_by_pairing():
-    s = standard_surface(2)
-    ta = transvection(s.class_of("c1"))
-    b1 = s.class_of("c2")
+    s = label_classes(2)
+    ta = transvection(s["c1"])
+    b1 = s["c2"]
     image = tuple(
         sum(ta[i][j] * b1[j] for j in range(4)) for i in range(4)
     )
-    pairing = algebraic_intersection(b1, s.class_of("c1"))
+    pairing = algebraic_intersection(b1, s["c1"])
     expected = tuple(
-        b1[i] + pairing * s.class_of("c1")[i] for i in range(4)
+        b1[i] + pairing * s["c1"][i] for i in range(4)
     )
     assert image == expected
 
@@ -136,9 +136,9 @@ def test_matsumoto_word_generates_a_proper_subgroup_mod_five():
 
 
 def test_closure_matches_set_closure_on_random_multisets():
-    s = standard_surface(2)
+    s = label_classes(2)
     labels = ("c1", "c2", "c3", "c4", "c5", "s1")
-    twists = {label: transvection(s.class_of(label)) for label in labels}
+    twists = {label: transvection(s[label]) for label in labels}
     assert mod_p_closure([twists["s1"]] * 2, 3).order == 1
     rng = random.Random(20251003)
     for _ in range(40):
@@ -155,8 +155,8 @@ def test_closure_matches_set_closure_on_random_multisets():
 def test_closure_matches_set_closure_on_random_products_mod_two():
     # Products of twists give chains whose lower levels gain strong
     # generators of their own; transvections alone rarely do.
-    s = standard_surface(2)
-    twists = [transvection(s.class_of(label)) for label in s.labels]
+    s = label_classes(2)
+    twists = [transvection(s[label]) for label in s]
     rng = random.Random(7)
     for _ in range(150):
         gens = []
@@ -197,11 +197,11 @@ def test_catalog_closure_orders_survive_a_change_of_basis():
     # basis without changing its order, and so does listing the
     # generators in another order or more than once: a chain whose base
     # were anything but a basis of (Z/p)^4 would miss elements here.
-    s = standard_surface(2)
+    s = label_classes(2)
     rng = random.Random(20261021)
     m = identity_matrix(4)
     for _ in range(rng.randint(3, 12)):
-        m = mat_mul(m, transvection(s.class_of(rng.choice(s.labels))))
+        m = mat_mul(m, transvection(s[rng.choice(tuple(s))]))
     j = pairing_matrix(2)
     # A symplectic m has inverse J^-1 m^T J = -J m^T J.
     m_inv = tuple(tuple(-x for x in row)
@@ -217,8 +217,8 @@ def test_catalog_closure_orders_survive_a_change_of_basis():
 
 
 def test_closure_matches_set_closure_on_small_groups_mod_five():
-    s = standard_surface(2)
-    twists = {label: transvection(s.class_of(label)) for label in s.labels}
+    s = label_classes(2)
+    twists = {label: transvection(s[label]) for label in s}
     assert mod_p_closure([twists["c1"], twists["c2"]], 5).order == 120
     assert mod_p_closure([twists["c1"], twists["c5"]], 5).order == 25
     cases = [[twists["c1"], twists["c2"]], [twists["c1"], twists["c5"]]]
@@ -247,8 +247,8 @@ def test_mod_p_closure_rejects_generators_not_symplectic_mod_p():
 
 
 def test_single_twist_generates_a_proper_subgroup():
-    s = standard_surface(2)
-    report = mod_p_closure([transvection(s.class_of("c1"))], 2)
+    s = label_classes(2)
+    report = mod_p_closure([transvection(s["c1"])], 2)
     assert report == ClosureReport(prime=2, order=2)
     assert report.full_group_order == 720
     assert not report.is_full
@@ -259,9 +259,9 @@ def test_transitivity_certificate_verdicts():
     assert full.verdict == "consistent with transitive"
     assert [e.prime for e in full.entries] == [2, 3]
 
-    s = standard_surface(2)
+    s = label_classes(2)
     partial = transitivity_certificate(
-        [transvection(s.class_of("c1"))], primes=(2,)
+        [transvection(s["c1"])], primes=(2,)
     )
     assert partial.verdict == "provably not transitive"
 
@@ -278,8 +278,8 @@ def test_transitivity_on_nonzero_vectors():
     gens = _chain_transvections()
     assert acts_transitively_mod_p(gens, 2)
     assert acts_transitively_mod_p(gens, 3)
-    s = standard_surface(2)
-    assert not acts_transitively_mod_p([transvection(s.class_of("c1"))], 2)
+    s = label_classes(2)
+    assert not acts_transitively_mod_p([transvection(s["c1"])], 2)
 
 
 def test_mod_p_closure_needs_a_generator():

@@ -1,4 +1,4 @@
-"""The package's 16 record types are NamedTuples or slotted classes:
+"""The package's 15 record types are NamedTuples or slotted classes:
 no field can be reassigned, and the types that are compared or hashed
 (curves, groups and words) compare and hash by value."""
 
@@ -11,7 +11,6 @@ from lefschetz import (
     AbelianGroup,
     Curve,
     Factorization,
-    Surface,
     admissible,
     b2plus_one_types,
     betti_bound_check,
@@ -29,7 +28,6 @@ from lefschetz import (
     transitivity_certificate,
     transvection,
 )
-from lefschetz.surface import standard_surface
 
 
 def _word():
@@ -44,7 +42,6 @@ def _generators():
 RECORDS = [
     ("Curve", lambda: _word().cycles[0], "base"),
     ("Factorization", _word, "cycles"),
-    ("Surface", lambda: standard_surface(2), "genus"),
     ("IdentityReport", lambda: identity_check(_word(), "exact"), "passed"),
     ("LanternInstance", standard_lantern, "boundary"),
     ("AbelianGroup", lambda: first_homology(_word()), "free_rank"),
@@ -63,8 +60,8 @@ RECORDS = [
 ]
 
 
-def test_the_table_names_sixteen_types():
-    assert len({name for name, _, _ in RECORDS}) == 16
+def test_the_table_names_fifteen_types():
+    assert len({name for name, _, _ in RECORDS}) == 15
 
 
 @pytest.mark.parametrize("name, build, field", RECORDS,
@@ -105,14 +102,6 @@ def test_factorization_classes_stay_out_of_equality_hash_and_repr():
         "Factorization(genus=2, cycles=(Curve(base='c1', conj=()), "
         "Curve(base='c2', conj=())), base_genus=0)")
     assert a != Factorization(2, (Curve("c1"), Curve("c2")), 1)
-
-
-def test_surface_compares_by_identity():
-    s = standard_surface(2)
-    twin = Surface(2, dict(s.curve_classes), dict(s.curve_words))
-    assert s == s and s != twin
-    assert repr(s) == repr(twin) == "Surface(genus=2)"
-    assert copy.copy(s).curve_classes == s.curve_classes
 
 
 def test_window_match_and_h1_comparison_read_values():
