@@ -79,6 +79,21 @@ class Curve(NamedTuple):
         return Curve(self.base, reduce_tokens(self.conj))
 
 
+def _curve_problem(curve: Curve, genus: int) -> Optional[str]:
+    """Why ``curve`` names no curve at ``genus``, naming its label or
+    token as written, or None if it does."""
+    known = label_classes(genus)
+    if not isinstance(curve.base, str) or curve.base not in known:
+        return f"unknown curve label {curve.base!r} at genus {genus}"
+    for label, sign in curve.conj:
+        if not isinstance(label, str) or sign not in (1, -1):
+            return f"malformed twist token {(label, sign)!r}"
+        if label not in known:
+            return (f"conjugator token {token_string((label, sign))!r} "
+                    f"names no curve at genus {genus}")
+    return None
+
+
 class Factorization:
     """An ordered positive twist word; entry 0 is applied first.
 
@@ -97,24 +112,10 @@ class Factorization:
         if type(base_genus) is not int or base_genus < 0:
             raise ValueError("base genus must be a nonnegative integer")
         cycles = tuple(cycles)
-        known = label_classes(genus)
         for i, curve in enumerate(cycles):
-            if not isinstance(curve.base, str) or curve.base not in known:
-                raise ValueError(
-                    f"twist {i}: unknown curve label {curve.base!r} "
-                    f"at genus {genus}"
-                )
-            for label, sign in curve.conj:
-                if not isinstance(label, str) or sign not in (1, -1):
-                    raise ValueError(
-                        f"twist {i}: malformed twist token {(label, sign)!r}"
-                    )
-                if label not in known:
-                    raise ValueError(
-                        f"twist {i}: conjugator token "
-                        f"{token_string((label, sign))!r} names no curve "
-                        f"at genus {genus}"
-                    )
+            problem = _curve_problem(curve, genus)
+            if problem:
+                raise ValueError(f"twist {i}: {problem}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "base_genus", base_genus)
@@ -162,7 +163,10 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     through the conjugator's signed transvections, innermost token first."""
     classes = label_classes(genus)
     steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
-    return symplectic.push_class(classes[curve.base], steps)
+    try:
+        return symplectic.push_class(classes[curve.base], steps)
+    except KeyError:
+        raise ValueError(_curve_problem(curve, genus)) from None
 
 
 # Images may grow geometrically with the token word, so the fold stops
@@ -231,6 +235,9 @@ def curve_word(curve: Curve, genus: int) -> Word:
     """Free-group representative of the curve; genus 2 only."""
     if genus != 2:
         raise ValueError("free-group curve words are available only at genus 2")
+    problem = _curve_problem(curve, genus)
+    if problem:
+        raise ValueError(problem)
     endo = conjugator_endo(curve.conj)
     return freegroup.apply_endo(endo, freegroup.LABEL_WORDS[curve.base])
 

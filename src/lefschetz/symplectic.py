@@ -1,6 +1,6 @@
 """The symplectic side of twisting: transvections on surface homology,
-exact products over the integers, and the orders of the groups those
-products generate modulo a prime, from Schreier-Sims stabilizer chains.
+exact products over the integers, and the orders of the groups that
+transvections generate modulo a prime.
 
 A twist about a curve of class c acts on first homology by the
 transvection  x -> x + <x, c> c.  ``push_class`` applies signed
@@ -9,20 +9,22 @@ every homology action is built from it: column k of a product's matrix
 is e_k pushed through its classes, and m is symplectic when its columns
 pair like the basis, <m e_i, m e_j> = <e_i, e_j>, that is m^T J m = J.
 Everything here works for arbitrary genus except ``mod_p_closure``:
-genus 2, p in {2, 3, 5}, and generators symplectic mod p, so the group
-lies in Sp(4, Z/p) and the stabilizer chain stops once its proved order
-reaches |Sp(4, Z/p)|.  The group acts linearly on (Z/p)^4, and a linear
-map that fixes a basis is the identity, so the chain's base is the basis
-e1, e2, e3, e4 for every group: an element is sifted on the images of
-those four vectors alone, and it is the identity exactly when the sift
-fixes all four.
+genus 2, p in {2, 3, 5}, and generators that are symplectic
+transvections mod p.  Two facts decide whether such a group G is all of
+Sp(4, Z/p) (Taylor, The Geometry of the Classical Groups): g T_v g^-1 is
+the transvection along gv, and Sp(4, Z/p) is generated by transvections
+and is transitive on nonzero vectors.  So G is full exactly when the
+orbit of one nonzero vector covers all p^4 - 1 of them.  A proper G is
+counted by its frames: a linear map is fixed by the images of a basis,
+so G acts freely on the orbit of the frame (e1, e2, e3, e4), whose
+length is |G|.  A proper subgroup of Sp(4, Z/5) has index at least 156,
+so at p = 5 that walk stops within 60,000 frames.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from math import prod
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Sequence
+from itertools import combinations
 from typing import NamedTuple
 
 from . import intlinalg
@@ -103,123 +105,24 @@ def _vector_permutation(m: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def _mul(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of permutations, g acting first."""
-    # One itemgetter call looks all of g up in h in C, several times
-    # faster than mapping h.__getitem__ over g.
-    return itemgetter(*g)(h)
-
-
-def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
-    # Filling the inverse with g's own entries, rather than a fresh range,
-    # reuses its int objects, which keeps the chain's memory down at p = 5.
-    inverse = list(g)
-    for x in g:
-        inverse[g[x]] = x
-    return tuple(inverse)
-
-
-def _orbit(tree: dict, perms: Sequence[tuple[int, ...]]) -> dict:
-    """Breadth-first orbit walk.  ``tree`` maps each point of a partial
-    orbit to the edge ``(point, permutation)`` that reached it, or to None
-    at the start point; it is extended in place to the whole orbit under
-    ``perms``, keeping the edges it had."""
-    frontier = list(tree)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in perms:
-                c = g[b]
-                if c not in tree:
-                    tree[c] = (b, g)
-                    nxt.append(c)
-        frontier = nxt
-    return tree
-
-
-def _chain_order(perms: Sequence[tuple[int, ...]], p: int, bound: int) -> int:
-    """Order of the group generated by ``perms``, distinct nontrivial
-    linear maps of (Z/p)^4 as permutations of the vector codes, from a
-    stabilizer chain built by deterministic Schreier-Sims (Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, section 4.4).
-
-    The base is the basis e1, e2, e3, e4, with codes p^3, p^2, p, 1: a
-    linear map that fixes a basis is the identity, so it is a base of
-    every such group and is never extended; a level may keep a trivial
-    orbit.  A Schreier generator  u_beta s u_gamma^-1  of level i fixes
-    e1..e(i+1), and it is sifted on the images of the four base points
-    alone, one point lookup each per level: it is the identity exactly
-    when the sift reaches the end.  Generators along the orbit tree's own
-    edges are the identity by construction and are skipped.  Only a
-    residue that does not sift is formed as a full permutation; it
-    becomes a strong generator of every level from i + 1 to the one
-    where it stopped, and processing resumes there.
-
-    ``bound`` must be an upper bound on the group's order.  Each partial
-    basic orbit lies inside the true orbit of its level's stabilizer, so
-    the product of their lengths is a lower bound; once it reaches
-    ``bound`` the chain is complete and the remaining Schreier generators
-    are not sifted (Holt, Eick and O'Brien, section 4.5)."""
-    ident = tuple(range(p**4))
-    base = (p**3, p**2, p, 1)
-    gens = [[] for _ in base]
-    trees = [{b: None} for b in base]
-    cosets = [{b: (ident, ident)} for b in base]
-
-    def coset(i, beta):
-        """The transversal element of level i carrying base[i] to beta,
-        and its inverse."""
-        pair = cosets[i].get(beta)
-        if pair is None:
-            parent, g = trees[i][beta]
-            u = _mul(coset(i, parent)[0], g)
-            pair = cosets[i][beta] = (u, _inverse(u))
-        return pair
-
-    def add(h, first, last):
-        for level in range(first, last + 1):
-            gens[level].append(h)
-            _orbit(trees[level], gens[level])
-
-    def residue(i):
-        """The first Schreier generator of level i that does not sift
-        through the levels below, with the level where it stopped."""
-        tree = trees[i]
-        for beta in tree:
-            u = coset(i, beta)[0]
-            for s in gens[i]:
-                gamma = s[beta]
-                if tree[gamma] == (beta, s):
-                    continue
-                u_inv = coset(i, gamma)[1]
-                images = [u_inv[s[u[b]]] for b in base]
-                for j in range(i + 1, len(base)):
-                    if images[j] not in trees[j]:
-                        h = _mul(_mul(u, s), u_inv)
-                        for k in range(i + 1, j):
-                            h = _mul(h, coset(k, h[base[k]])[1])
-                        return h, j
-                    c_inv = coset(j, images[j])[1]
-                    images = [c_inv[x] for x in images]
-        return None
-
-    for g in perms:
-        add(g, 0, 0)
-    i = len(base) - 1
-    while i >= 0 and prod(len(tree) for tree in trees) < bound:
-        found = residue(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        add(h, i + 1, j)
-        i = j
-    return prod(len(tree) for tree in trees)
+def _orbit(start, perms: Sequence[tuple[int, ...]], act: Callable) -> int:
+    """Length of the orbit of ``start`` under ``perms``, walked
+    breadth-first; ``act(point, perm)`` is the image of a point."""
+    seen = {start}
+    queue = [start]
+    for point in queue:
+        for g in perms:
+            image = act(point, g)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return len(seen)
 
 
 def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
     """The generators distinct and nontrivial mod p, after checking that
-    there is one, p is 2, 3 or 5, and each is 4x4 and symplectic mod p."""
+    there is one, p is 2, 3 or 5, and each is 4x4, symplectic mod p and
+    a transvection mod p: rank(g - I) <= 1, every 2x2 minor zero."""
     if not generators:
         raise ValueError("need at least one generator")
     if p not in (2, 3, 5):
@@ -234,28 +137,36 @@ def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
     for g in distinct:
         if intlinalg.mat_mod(_column_pairings(g), p) != form:
             raise ValueError(f"generator {g} is not symplectic mod {p}")
+        d = [[x - y for x, y in zip(row, e)] for row, e in zip(g, identity)]
+        if any((r[i] * s[j] - r[j] * s[i]) % p
+               for r, s in combinations(d, 2)
+               for i, j in combinations(range(4), 2)):
+            raise ValueError(f"generator {g} is not a transvection mod {p}")
     return list(distinct)
 
 
 def mod_p_closure(
     generators: Sequence[Sequence[Sequence[int]]], p: int
 ) -> ClosureReport:
-    """Size of the subgroup of Sp(2g, Z/p) generated by the given
-    integer matrices.
+    """Order of the subgroup G of Sp(4, Z/p) generated by the given
+    integer matrices, each a symplectic transvection mod p, or
+    ``ValueError`` is raised.
 
-    The group acts faithfully on the vectors of (Z/p)^2g, so each
-    generator that is distinct and nontrivial mod p becomes a
-    permutation of them; a Schreier-Sims stabilizer chain of those
-    permutations gives the order as the product of its basic orbit
-    lengths.  Every generator must be symplectic mod p, its columns
-    pairing like the basis, or ``ValueError`` is raised: the group then
-    lies in Sp(2g, Z/p), and the chain stops as soon as its order
-    reaches |Sp(2g, Z/p)|.
+    Each generator that is distinct and nontrivial mod p becomes a
+    permutation of the vector codes of (Z/p)^4.  G is full exactly when
+    the orbit of e4 (code 1) covers all p^4 - 1 nonzero vectors: if it
+    does, G holds the transvection along every nonzero vector, as the
+    conjugate of a generator's.  Otherwise G is proper, and its order is
+    the number of frames reached from the basis frame (e1, e2, e3, e4),
+    on which G acts freely: at most 60,000 at p = 5.
     """
     distinct = _distinct_generators(generators, p)
     perms = [_vector_permutation(g, p) for g in distinct]
-    full = symplectic_group_order(2, p)
-    return ClosureReport(p, _chain_order(perms, p, full))
+    if _orbit(1, perms, lambda v, g: g[v]) == p**4 - 1:
+        return ClosureReport(p, symplectic_group_order(2, p))
+    frame = (p**3, p**2, p, 1)
+    return ClosureReport(p, _orbit(
+        frame, perms, lambda f, g: (g[f[0]], g[f[1]], g[f[2]], g[f[3]])))
 
 
 class TransitivityCertificate(NamedTuple):
@@ -282,7 +193,10 @@ def transitivity_certificate(
     generators: Sequence[Sequence[Sequence[int]]],
     primes: Sequence[int],
 ) -> TransitivityCertificate:
-    """Run the mod-p closure at each prime and bundle the reports."""
+    """Run the mod-p closure at each prime and bundle the reports; with
+    no prime there is nothing to certify, so ``ValueError`` is raised."""
+    if not primes:
+        raise ValueError("need at least one prime")
     return TransitivityCertificate(
         tuple(mod_p_closure(generators, p) for p in primes)
     )

@@ -308,6 +308,27 @@ def test_default_transitivity_fits_in_512_mb_without_numpy():
     assert "numpy imported: False" in lines
 
 
+def test_default_transitivity_counts_a_proper_group_in_256_mb(tmp_path):
+    # c1, c2 and c3 span a proper group at every default prime; at p = 5
+    # the frame walk that counts it visits all 15,000 of its frames.
+    doc = tmp_path / "chain3.json"
+    doc.write_text(serialize_factorization(
+        Factorization(2, (Curve("c1"), Curve("c2"), Curve("c3")))))
+    result = _run_under_address_limit(256, """
+        import sys
+        from lefschetz.cli import main
+
+        sys.exit(main(["transitivity", sys.argv[1]]))
+    """, str(doc))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "p=2: closure order 24 of 720 (proper subgroup)",
+        "p=3: closure order 648 of 51840 (proper subgroup)",
+        "p=5: closure order 15000 of 9360000 (proper subgroup)",
+        "verdict: provably not transitive",
+    ]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Together they cost every fresh ``lefschetz`` process about 25 ms.
     result = _run_under_address_limit(512, """

@@ -14,6 +14,7 @@ from lefschetz.monodromy import (
     conjugator_endo,
     curve_class,
     curve_twist_endo,
+    curve_word,
     evaluate,
     fiber_sum,
     global_conjugate,
@@ -305,3 +306,18 @@ def test_factorization_errors_name_the_twist():
             Factorization(2, (Curve("c1"), Curve("c2"), Curve("c1", (bad,))))
     with pytest.raises(ValueError, match=r"^twist 0: unknown curve label \['c1'\]"):
         Factorization(2, (Curve(["c1"]),))
+
+
+def test_curve_class_and_word_name_an_unknown_label_or_token():
+    for curve, message in (
+            (Curve("c9"), r"^unknown curve label 'c9' at genus 2$"),
+            (Curve("c1", (("c2", 1), ("c9", 1))),
+             r"^conjugator token 't9' names no curve at genus 2$"),
+            (Curve("c1", (("t9", 1),)),
+             r"^conjugator token 't9' names no curve at genus 2$")):
+        for function in (curve_class, curve_word):
+            with pytest.raises(ValueError, match=message):
+                function(curve, 2)
+    with pytest.raises(ValueError, match=r"^unknown curve label 'c9' at genus 3$"):
+        curve_class(Curve("c9"), 3)
+    assert curve_class(Curve("c7"), 3) == (0, 0, 0, 0, 1, 0)

@@ -152,22 +152,6 @@ def test_closure_matches_set_closure_on_random_multisets():
             p, drawn)
 
 
-def test_closure_matches_set_closure_on_random_products_mod_two():
-    # Products of twists give chains whose lower levels gain strong
-    # generators of their own; transvections alone rarely do.
-    s = label_classes(2)
-    twists = [transvection(s[label]) for label in s]
-    rng = random.Random(7)
-    for _ in range(150):
-        gens = []
-        for _ in range(rng.randint(1, 4)):
-            m = rng.choice(twists)
-            for _ in range(rng.randrange(5)):
-                m = mat_mul(m, rng.choice(twists))
-            gens.append(m)
-        assert mod_p_closure(gens, 2).order == _set_closure_order(gens, 2)
-
-
 # Closure orders of the transvections of every catalog factorization's
 # cycle classes at p = 2, 3 and 5, as computed by a full Schreier-Sims
 # chain with no stop at |Sp(4, Z/p)|.
@@ -195,8 +179,8 @@ def test_catalog_closure_orders(name):
 def test_catalog_closure_orders_survive_a_change_of_basis():
     # Conjugating by a symplectic m moves every group off the standard
     # basis without changing its order, and so does listing the
-    # generators in another order or more than once: a chain whose base
-    # were anything but a basis of (Z/p)^4 would miss elements here.
+    # generators in another order or more than once: a frame walk that
+    # started anywhere but at a basis of (Z/p)^4 would miss elements here.
     s = label_classes(2)
     rng = random.Random(20261021)
     m = identity_matrix(4)
@@ -221,13 +205,49 @@ def test_closure_matches_set_closure_on_small_groups_mod_five():
     twists = {label: transvection(s[label]) for label in s}
     assert mod_p_closure([twists["c1"], twists["c2"]], 5).order == 120
     assert mod_p_closure([twists["c1"], twists["c5"]], 5).order == 25
-    cases = [[twists["c1"], twists["c2"]], [twists["c1"], twists["c5"]]]
-    # Products of two twists; their groups have 5 to 750 elements.
-    for pairs in (("c1c3", "c3c1"), ("c1c3", "c3c5"), ("c1c2", "c4c5"),
-                  ("c1c2", "c2c1"), ("c1c2", "c1c4"), ("c1c2", "c3c2")):
-        cases.append([mat_mul(twists[w[:2]], twists[w[2:]]) for w in pairs])
-    for gens in cases:
-        assert mod_p_closure(gens, 5).order == _set_closure_order(gens, 5)
+    assert mod_p_closure(
+        [twists["c1"], twists["c2"], twists["c5"]], 5).order == 600
+    # Proper groups of 5 to 600 elements; s1's class is null, so its
+    # twist drops out.
+    for labels in (("c1",), ("c1", "c3", "c5"), ("c2", "c4"),
+                   ("c1", "c2", "c4"), ("c2", "c3"), ("c1", "s1", "c4")):
+        gens = [twists[label] for label in labels]
+        assert mod_p_closure(gens, 5).order == _set_closure_order(gens, 5), (
+            labels)
+    off_chain = [transvection(v) for v in ((1, 1, 0, 0), (0, 1, 1, 0))]
+    assert mod_p_closure(off_chain, 5).order == _set_closure_order(
+        off_chain, 5)
+
+
+def test_closure_matches_the_references_on_random_transvections():
+    # Transvections along random nonzero vectors, at p = 3 some squared,
+    # so the generators need not be twists about the standard curves.
+    rng = random.Random(20261020)
+    verdicts = set()
+    for _ in range(60):
+        p = rng.choice((2, 3))
+        gens = []
+        for _ in range(rng.randint(1, 8)):
+            v = (0,) * 4
+            while not any(x % p for x in v):
+                v = tuple(rng.randint(1 - p, p - 1) for _ in range(4))
+            t = transvection(v)
+            gens.append(mat_mul(t, t) if rng.randrange(1, p) == 2 else t)
+        report = mod_p_closure(gens, p)
+        assert report.is_full == acts_transitively_mod_p(gens, p), (p, gens)
+        if report.order <= 2000:
+            assert report.order == _set_closure_order(gens, p), (p, gens)
+        verdicts.add((p, report.is_full))
+    assert len(verdicts) == 4
+
+
+@pytest.mark.parametrize("pair", [("c1", "c2"), ("c4", "c5")])
+def test_closure_refuses_a_product_of_two_twists(pair):
+    s = label_classes(2)
+    product = mat_mul(transvection(s[pair[0]]), transvection(s[pair[1]]))
+    for p in (2, 5):
+        with pytest.raises(ValueError, match=f"not a transvection mod {p}"):
+            mod_p_closure([transvection(s["c3"]), product], p)
 
 
 def test_vector_permutation_matches_per_vector_reference():
@@ -264,6 +284,11 @@ def test_transitivity_certificate_verdicts():
         [transvection(s["c1"])], primes=(2,)
     )
     assert partial.verdict == "provably not transitive"
+
+
+def test_transitivity_certificate_needs_a_prime():
+    with pytest.raises(ValueError, match="need at least one prime"):
+        transitivity_certificate(_chain_transvections(), ())
 
 
 def test_mod_p_closure_rejects_bad_primes():
