@@ -18,6 +18,7 @@ level, which is the level their construction guarantees.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Optional, Union
 
@@ -116,7 +117,7 @@ def _derive_18_1() -> Factorization:
 
 
 def _derive_16_2() -> Factorization:
-    f = rotate(_derive_18_1(), 13)
+    f = rotate(get("lantern-18-1"), 13)
     for i in (1, 0, 2, 1, 3, 2):
         f = hurwitz_move(f, i, "left")
     return lantern_substitute(f, 3)
@@ -133,8 +134,6 @@ _RECIPES = {
     "fibersum-12-4": _derive_12_4,
 }
 
-_CACHE: dict = {}
-
 
 def entry(name: str) -> CatalogEntry:
     """The metadata record for a catalog name."""
@@ -148,19 +147,15 @@ def list_entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 
 
+@lru_cache(maxsize=None)
 def get(name: str) -> Union[Factorization, LanternInstance]:
     """Load a catalog item, rebuilding derived words on first access."""
-    if name in _CACHE:
-        return _CACHE[name]
     e = entry(name)
     if e.derived:
-        item: Union[Factorization, LanternInstance] = _RECIPES[name]()
-    elif e.kind == "lantern":
-        item = standard_lantern()
-    else:
-        item = fileformat.parse_factorization(_data_text(name))
-    _CACHE[name] = item
-    return item
+        return _RECIPES[name]()
+    if e.kind == "lantern":
+        return standard_lantern()
+    return fileformat.parse_factorization(_data_text(name))
 
 
 def get_factorization(name: str) -> Factorization:

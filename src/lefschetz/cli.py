@@ -136,7 +136,8 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     reports = feasibility.enumerate_types(args.n_max, args.s_max)
-    _write(feasibility.emit_chart(reports, args.format), args.output)
+    _write(feasibility.emit_chart(reports, args.n_max, args.s_max,
+                                  args.format), args.output)
     return 0
 
 
@@ -274,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("basis-pairs",
-                       help="find symplectic basis pairs among cycles")
+                       help="list unimodular cycle pairs: those that "
+                            "extend to an integral basis")
     p.add_argument("src")
     p.set_defaults(func=_cmd_basis_pairs)
 

@@ -9,7 +9,8 @@ length n + 7s reaches 20; and the sharp line bound 2n - s >= 5.  This
 module evaluates those constraints over the lattice, derives the forced
 first Betti numbers, lists the types with b2+ = 1, certifies
 indecomposability on the sharp line, and emits the feasibility chart as
-CSV or SVG.
+CSV or SVG.  ``signature`` and ``b2plus`` are the package's one copy of
+a type's signature and b2+; the module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def admissible(n: int, s: int) -> NSReport:
     mod10_ok: the word's image n + 12s in H1(Mod(Sigma_2)) = Z/10 is 0,
     which implies that the fractional signature -(3n + s)/5 is an integer.
     weight_ok: the weighted length n + 7s reaches 20.
-    sharp_ok: the sharp bound 2n - s >= 5.
+    sharp_ok: the sharp bound 2n - s >= 5, which is the separating-cycle
+    bound b2- >= s + 1 (behind ``invariant_report``'s warning) at the
+    paper's b1 = 2, where b2- = (4n + 3s)/5 - 1.
 
     The forced first Betti number is 2 on the sharp line 2n - s = 5 and
     on the line n + 2s = 10 (where b2+ >= 1 pins it); elsewhere the
@@ -79,14 +82,24 @@ def admissible(n: int, s: int) -> NSReport:
     return NSReport(n, s, mod10_ok, weight_ok, sharp_ok, b1_forced, b2, status)
 
 
-def b2plus(n: int, s: int, b1: int) -> int:
-    """b2+ of a genus-2 fibration of type (n, s) with first Betti
-    number b1: the integer (n + 2s)/5 + b1 - 3."""
-    if (n + 2 * s) % 5 != 0:
+def signature(n: int, s: int) -> int:
+    """Signature -(3n + s)/5 of a genus-2 fibration of type (n, s): every
+    genus-2 fibration is hyperelliptic (Endo, Math. Ann. 316, 2000).
+    Non-divisibility by 5 means no such fibration exists."""
+    total = 3 * n + s
+    if total % 5 != 0:
         raise ValueError(
-            f"n + 2s = {n + 2 * s} is not divisible by 5; b2+ is not an integer"
+            f"3n + s = {total} is not divisible by 5; "
+            f"no genus-2 Lefschetz fibration has type ({n}, {s})"
         )
-    return (n + 2 * s) // 5 + b1 - 3
+    return -(total // 5)
+
+
+def b2plus(n: int, s: int, b1: int) -> int:
+    """b2+ = (b2 + sigma)/2 = (n + 2s)/5 + b1 - 3 of a genus-2 fibration
+    of type (n, s) over the sphere with first Betti number b1, where
+    b2 = n + s - 6 + 2 b1; 5 | n + 2s exactly where 5 | 3n + s."""
+    return (n + s - 6 + 2 * b1 + signature(n, s)) // 2
 
 
 def b2plus_one_types() -> list[NSReport]:
@@ -137,10 +150,10 @@ def family_invariants(k: int) -> FamilyReport:
     if k < 2:
         raise ValueError("the family starts at k = 2")
     n, s = 2 * k, 4 * k - 5
-    b1 = 2
-    b2 = n + s - 2
-    plus = b2plus(n, s, b1)
-    sigma = -(3 * n + s) // 5
+    report = admissible(n, s)
+    b1, plus = report.b1_forced, report.b2_plus
+    b2 = n + s - 6 + 2 * b1
+    sigma = signature(n, s)
     euler = n + s - 4
     return FamilyReport(k, n, s, b1, b2, plus, b2 - plus, sigma, euler)
 
@@ -211,19 +224,20 @@ def enumerate_types(n_max: int, s_max: int) -> list[NSReport]:
     return out
 
 
-def emit_chart(reports: Iterable[NSReport], format: str = "csv") -> str:
+def emit_chart(reports: Iterable[NSReport], n_max: int, s_max: int,
+               format: str = "csv") -> str:
     """Serialize feasibility reports as CSV rows or an SVG scatter and
     return the text; writing it anywhere is the caller's job.
 
-    The SVG draws both reference lines 2n - s = 3 and 2n - s = 5, filled
-    markers for types with known monodromies, and open markers for
-    admissible types without one.
+    The SVG frames the window n <= n_max, s <= s_max with the reference
+    lines 2n - s = 3 and 5 where they meet it, filled markers for known
+    types and open markers for admissible types without a monodromy.
     """
     reports = sorted(reports, key=lambda r: (r.n, r.s))
     if format == "csv":
         return _emit_csv(reports)
     if format == "svg":
-        return _emit_svg(reports)
+        return _emit_svg(reports, n_max, s_max)
     raise ValueError(f"unknown chart format {format!r}")
 
 
@@ -236,9 +250,7 @@ def _emit_csv(reports: list[NSReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_svg(reports: list[NSReport]) -> str:
-    n_max = max((r.n for r in reports), default=20)
-    s_max = max((r.s for r in reports), default=15)
+def _emit_svg(reports: list[NSReport], n_max: int, s_max: int) -> str:
     scale = 24
     margin = 40
     width = margin * 2 + n_max * scale
@@ -262,6 +274,8 @@ def _emit_svg(reports: list[NSReport]) -> str:
     # reference lines s = 2n - 3 and s = 2n - 5, clipped to the window
     for offset, color in ((3, "red"), (5, "blue")):
         n0 = offset / 2
+        if n0 > n_max:  # the line misses the window
+            continue
         n1 = min(n_max, (s_max + offset) / 2)
         parts.append(
             f'<line x1="{x(n0)}" y1="{y(0)}" x2="{x(n1)}" '

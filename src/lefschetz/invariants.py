@@ -4,7 +4,8 @@ All formulas act on a positive factorization over a base surface.  The
 Euler characteristic comes from the handle decomposition, the signature
 from the hyperelliptic count of separating and nonseparating cycles
 (genus 2 over the sphere), and the homology of the total space from the
-cokernel of the vanishing-cycle class matrix.
+cokernel of the vanishing-cycle class matrix.  The type formulas live in
+``feasibility.signature`` and ``feasibility.b2plus`` (b2+ = (b2 + sigma)/2).
 
 H1 and pi1 of the total space are computed as the fiber group modulo
 the vanishing cycles.  That quotient rests on the fibration having a
@@ -20,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from . import freegroup, monodromy
+from . import feasibility, freegroup, monodromy
 from .intlinalg import AbelianGroup, quotient_by_rows
 from .monodromy import Factorization
 
@@ -32,24 +33,10 @@ def euler_characteristic(f: Factorization) -> int:
 
 
 def signature_g2(f: Factorization) -> int:
-    """Signature of a genus-2 fibration from its (n, s) counts.
-
-    Every genus-2 fibration is hyperelliptic, so the signature is
-    determined by the numbers of nonseparating and separating cycles:
-    sigma = -(3n + s)/5.  Non-divisibility by 5 means no genus-2
-    fibration with these counts exists.
-    """
+    """Signature of a genus-2 fibration, by ``feasibility.signature``."""
     if f.genus != 2:
         raise ValueError("the fractional signature formula needs fiber genus 2")
-    n, s = monodromy.ns_type(f)
-    total = 3 * n + s
-    if total % 5 != 0:
-        raise ValueError(
-            f"3n + s = {total} is not divisible by 5; "
-            "no genus-2 Lefschetz fibration has type "
-            f"({n}, {s})"
-        )
-    return -(total // 5)
+    return feasibility.signature(*monodromy.ns_type(f))
 
 
 def first_homology(f: Factorization) -> AbelianGroup:
@@ -101,10 +88,10 @@ def invariant_report(f: Factorization) -> InvariantReport:
     signature = b2_plus = b2_minus = None
     warnings: list[str] = []
     if f.genus == 2:
-        signature = signature_g2(f)
-        b2_plus = (euler + signature) // 2 + b1 - 1
-        b2_minus = b2_plus - signature
         n, s = monodromy.ns_type(f)
+        signature = feasibility.signature(n, s)
+        b2_plus = (b2 + signature) // 2
+        b2_minus = b2_plus - signature
         if b2_minus < s + 1:
             warnings.append(
                 f"b2_minus = {b2_minus} is below the separating-cycle bound "

@@ -138,7 +138,7 @@ def test_criterion_05_type_chart_reproduction():
     assert unknown >= {(6, 7), (8, 11), (10, 15), (12, 14)}
     assert known | unknown == {(r.n, r.s) for r in reports}
     assert not known & unknown
-    svg = emit_chart(reports, "svg")
+    svg = emit_chart(reports, 20, 15, "svg")
     assert "red" in svg and "blue" in svg
     print("criterion 5: PASS")
 

@@ -1,6 +1,8 @@
 import pytest
 
+from lefschetz import catalog
 from lefschetz.catalog import get_factorization
+from lefschetz.feasibility import b2plus, family_invariants, signature
 from lefschetz.freegroup import boundary_word
 from lefschetz.intlinalg import AbelianGroup, quotient_by_rows
 from lefschetz.invariants import (
@@ -12,7 +14,7 @@ from lefschetz.invariants import (
     pi1_presentation,
     signature_g2,
 )
-from lefschetz.monodromy import Curve, Factorization
+from lefschetz.monodromy import Curve, Factorization, ns_type
 from reference import abelianize
 
 
@@ -52,6 +54,34 @@ def test_invariant_report_consistency():
     assert report.b2_minus == 4
     assert report.euler == 2 - 2 * 2 + 5
     assert report.signature == report.b2_plus - report.b2_minus
+
+
+def test_invariant_report_reads_the_type_arithmetic():
+    words = [e.name for e in catalog.list_entries()
+             if e.kind == "factorization"]
+    assert len(words) == 9
+    for name in words:
+        f = get_factorization(name)
+        n, s = ns_type(f)
+        report = invariant_report(f)
+        b1 = report.betti[1]
+        assert report.signature == signature(n, s), name
+        assert report.b2_plus == b2plus(n, s, b1), name
+        assert report.b2_minus == b2plus(n, s, b1) - signature(n, s), name
+
+
+def test_family_start_agrees_with_its_catalog_word():
+    # type (4, 3) with b1 = 2 on both sides
+    member = family_invariants(2)
+    report = invariant_report(get_factorization("baykur-korkmaz-43"))
+    assert (member.n, member.s) == ns_type(
+        get_factorization("baykur-korkmaz-43")) == (4, 3)
+    assert member.b1 == report.betti[1] == 2
+    family = (member.euler, member.signature, member.b2, member.b2_plus,
+              member.b2_minus)
+    word = (report.euler, report.signature, report.betti[2], report.b2_plus,
+            report.b2_minus)
+    assert family == word == (3, -3, 5, 1, 4)
 
 
 def test_invariant_report_rejects_non_identity_words():

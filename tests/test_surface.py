@@ -93,7 +93,7 @@ def test_the_shared_class_table_cannot_be_changed():
         Factorization(2, (Curve("c9"),))
 
 
-def _imports_freegroup(module: str) -> bool:
+def _package_modules_loaded_by(module: str) -> set[str]:
     # The package's __init__ imports every module, so a stub package with
     # the same path stands in for it: only the named module's own imports
     # then load.
@@ -103,16 +103,25 @@ def _imports_freegroup(module: str) -> bool:
         f"pkg.__path__ = [{str(SRC)!r}]\n"
         "sys.modules['lefschetz'] = pkg\n"
         f"import lefschetz.{module}\n"
-        "print('lefschetz.freegroup' in sys.modules)\n"
+        "print(*(m for m in sys.modules if m.startswith('lefschetz.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    return out == "True\n"
+    return set(out.split())
 
 
 def test_surface_does_not_import_the_free_group_model():
-    assert not _imports_freegroup("surface")
-    assert _imports_freegroup("monodromy")  # the probe can see an import
+    assert "lefschetz.freegroup" not in _package_modules_loaded_by("surface")
+    # the probe can see an import
+    assert "lefschetz.freegroup" in _package_modules_loaded_by("monodromy")
+
+
+def test_feasibility_is_a_leaf_module():
+    # invariants reads the type arithmetic from feasibility, never the
+    # reverse, so feasibility loads no other module of the package
+    loaded = _package_modules_loaded_by("feasibility")
+    assert loaded == {"lefschetz.feasibility"}
+    assert "lefschetz.feasibility" in _package_modules_loaded_by("invariants")
 
 
 def test_removed_wrappers_are_gone_from_the_package():
