@@ -65,7 +65,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         print(exc)
         return 1
     for key, value in report.items():
-        print(f"{key}: {value}")
+        if value is not None:  # not computed at the word's genus
+            print(f"{key}: {value}")
     for warning in report.warnings:
         print(f"warning: {warning}")
     return 0

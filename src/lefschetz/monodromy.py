@@ -75,8 +75,13 @@ class Curve(NamedTuple):
     base: str
     conj: tuple[Token, ...] = ()
 
+    def moved(self, tokens: Iterable[Token]) -> "Curve":
+        """The image of this curve under the outermost-first token word
+        ``tokens``: its conjugator gets them as a prefix, then reduced."""
+        return Curve(self.base, reduce_tokens((*tokens, *self.conj)))
+
     def reduced(self) -> "Curve":
-        return Curve(self.base, reduce_tokens(self.conj))
+        return self.moved(())
 
 
 def _curve_problem(curve: Curve, genus: int) -> Optional[str]:
@@ -85,11 +90,17 @@ def _curve_problem(curve: Curve, genus: int) -> Optional[str]:
     known = label_classes(genus)
     if not isinstance(curve.base, str) or curve.base not in known:
         return f"unknown curve label {curve.base!r} at genus {genus}"
-    for label, sign in curve.conj:
-        if not isinstance(label, str) or sign not in (1, -1):
-            return f"malformed twist token {(label, sign)!r}"
+    # Tuples only: a list would make the word unhashable and unequal to
+    # the same word spelled with tuples.
+    if type(curve.conj) is not tuple:
+        return f"conjugator {curve.conj!r} is not a tuple of tokens"
+    for token in curve.conj:
+        label, sign = token
+        if (type(token) is not tuple or not isinstance(label, str)
+                or sign not in (1, -1)):
+            return f"malformed twist token {token!r}"
         if label not in known:
-            return (f"conjugator token {token_string((label, sign))!r} "
+            return (f"conjugator token {token_string(token)!r} "
                     f"names no curve at genus {genus}")
     return None
 
@@ -316,11 +327,21 @@ def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
 
     Levels: "homology" tests the Sp(2g,Z) image; "exact" tests that the
     composite free-group automorphism is inner (genus 2 only).
+
+    The exact check folds only the cyclically reduced token word: a
+    composite P . w . P^-1 is inner exactly when w is, and since every
+    table fixes the boundary word, w's witness is a power of it, which P
+    fixes, so it is the whole composite's witness too.
     """
     if level == "homology":
         return IdentityReport(level, is_identity_matrix(evaluate(f)))
     if level == "exact":
-        acc = _fold(_composite_tokens(f))
+        tokens = _composite_tokens(f)
+        i, j = 0, len(tokens)
+        while j - i >= 2 and tokens[i] == (tokens[j - 1][0], -tokens[j - 1][1]):
+            i += 1
+            j -= 1
+        acc = _fold(tokens[i:j])
         conj = freegroup.is_inner(acc[:4])
         if conj is not None:
             conj = freegroup.concat(acc[4], conj)
@@ -339,11 +360,9 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         raise IndexError(f"no adjacent pair at position {i}")
     x, y = f.cycles[i], f.cycles[i + 1]
     if direction == "right":
-        moved_conj = twist_tokens(y) + x.conj
-        new_pair = (y, Curve(x.base, reduce_tokens(moved_conj)))
+        new_pair = (y, x.moved(twist_tokens(y)))
     elif direction == "left":
-        moved_conj = twist_tokens(x, -1) + y.conj
-        new_pair = (Curve(y.base, reduce_tokens(moved_conj)), x)
+        new_pair = (y.moved(twist_tokens(x, -1)), x)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     cycles = f.cycles[:i] + new_pair + f.cycles[i + 2 :]
@@ -353,9 +372,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
 def global_conjugate(f: Factorization, tokens: Iterable[Token]) -> Factorization:
     """Conjugate the whole factorization by a twist word (token prefix)."""
     tokens = tuple(tokens)
-    cycles = tuple(
-        Curve(c.base, reduce_tokens(tokens + c.conj)) for c in f.cycles
-    )
+    cycles = tuple(c.moved(tokens) for c in f.cycles)
     return Factorization(f.genus, cycles, f.base_genus)
 
 
@@ -418,27 +435,39 @@ def standard_lantern() -> LanternInstance:
     )
 
 
-def lantern_substitute(f: Factorization, at: int) -> Factorization:
-    """Replace four consecutive boundary twists of ``standard_lantern()``,
-    starting at position ``at``, by its three interior twists; the
-    homology image is checked unchanged."""
-    if f.genus != 2:
-        raise ValueError("lantern substitution is a genus-2 computation")
-    if not 0 <= at <= len(f.cycles) - 4:
-        raise IndexError(f"no four consecutive cycles at position {at}")
-    instance = standard_lantern()
-    window = f.cycles[at : at + 4]
-    for have, want in zip(window, instance.boundary):
-        if have.reduced() != want.reduced():
+def _trade(f: Factorization, at: int, old: Sequence[Curve],
+           new: Sequence[Curve]) -> Factorization:
+    """Replace the window of ``len(old)`` cycles starting at ``at`` by
+    ``new``, both moved by the window's conjugator: the one that carries
+    ``old[0]``, a standard curve, to the window's first cycle.  The window
+    must spell ``old`` moved by it, and the homology image is re-checked."""
+    if not 0 <= at <= len(f.cycles) - len(old):
+        raise IndexError(f"no {len(old)}-cycle window at position {at}")
+    window = f.cycles[at : at + len(old)]
+    conj = window[0].conj
+    for i, (have, want) in enumerate(zip(window, old)):
+        if have.reduced() != want.moved(conj):
             raise ValueError(
-                f"cycle {have.base!r} at the substitution site does not match "
-                f"the registered boundary curve {want.base!r}"
+                f"cycle {at + i} ({have.base!r}) does not match the "
+                f"relation's {want.base!r} moved by the conjugator of "
+                f"cycle {at}"
             )
-    cycles = f.cycles[:at] + instance.interior + f.cycles[at + 4 :]
+    block = tuple(c.moved(conj) for c in new)
+    cycles = f.cycles[:at] + block + f.cycles[at + len(old) :]
     out = Factorization(f.genus, cycles, f.base_genus)
     if evaluate(out) != evaluate(f):
         raise ValueError("substitution changed the homology image")
     return out
+
+
+def lantern_substitute(f: Factorization, at: int) -> Factorization:
+    """Replace four consecutive boundary twists of ``standard_lantern()``,
+    moved by one conjugator, starting at position ``at``, by its three
+    interior twists moved by the same conjugator (see ``_trade``)."""
+    if f.genus != 2:
+        raise ValueError("lantern substitution is a genus-2 computation")
+    instance = standard_lantern()
+    return _trade(f, at, instance.boundary, instance.interior)
 
 
 def chain_substitute(
@@ -447,31 +476,13 @@ def chain_substitute(
     """Trade one separating twist for the twelve-twist chain word, or back.
 
     Expansion replaces a conjugate of the standard separating curve by
-    the correspondingly conjugated twelve-cycle chain pattern
+    the same conjugate of the twelve-cycle chain pattern
     ``freegroup.TWO_CHAIN``; the type shifts by (+12, -1).  Contraction is
-    the inverse.
+    the inverse.  The window rule is ``_trade``'s.
     """
+    chain = tuple(Curve(label) for label in freegroup.TWO_CHAIN)
     if direction == "expand":
-        if not 0 <= at < len(f.cycles):
-            raise IndexError(f"no cycle at position {at}")
-        target = f.cycles[at]
-        if target.base != "s1":
-            raise ValueError("expansion needs a conjugate of the standard "
-                             "separating curve")
-        block = tuple(Curve(label, target.conj) for label in freegroup.TWO_CHAIN)
-        cycles = f.cycles[:at] + block + f.cycles[at + 1 :]
-    elif direction == "contract":
-        n = len(freegroup.TWO_CHAIN)
-        if not 0 <= at <= len(f.cycles) - n:
-            raise IndexError(f"no twelve consecutive cycles at position {at}")
-        window = tuple(c.reduced() for c in f.cycles[at : at + n])
-        conj = window[0].conj
-        if window != tuple(Curve(label, conj) for label in freegroup.TWO_CHAIN):
-            raise ValueError("cycles do not form the twelve-twist chain pattern")
-        cycles = f.cycles[:at] + (Curve("s1", conj),) + f.cycles[at + n :]
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    out = Factorization(f.genus, cycles, f.base_genus)
-    if evaluate(out) != evaluate(f):
-        raise ValueError("substitution changed the homology image")
-    return out
+        return _trade(f, at, (Curve("s1"),), chain)
+    if direction == "contract":
+        return _trade(f, at, chain, (Curve("s1"),))
+    raise ValueError(f"unknown direction {direction!r}")

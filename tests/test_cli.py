@@ -10,8 +10,8 @@ import pytest
 import lefschetz
 from lefschetz import catalog, symplectic
 from lefschetz.cli import main
-from lefschetz.fileformat import serialize_factorization
-from lefschetz.monodromy import Curve, Factorization
+from lefschetz.fileformat import parse_factorization, serialize_factorization
+from lefschetz.monodromy import Curve, Factorization, identity_check
 
 
 def test_check_catalog_entry_exact(capsys):
@@ -130,6 +130,26 @@ def test_invariants_golden_output(capsys):
     )
 
 
+def test_invariants_off_genus_two_omits_what_it_does_not_compute(
+        tmp_path, capsys):
+    # (t1 t2)^6 on the torus is the elliptic surface E(1); the signature
+    # and b2+/- are computed at genus 2 only, so their lines are left out.
+    word = tmp_path / "e1.json"
+    word.write_text(serialize_factorization(
+        Factorization(1, (Curve("c1"), Curve("c2")) * 6)))
+    assert main(["invariants", str(word)]) == 0
+    assert capsys.readouterr().out == (
+        "euler: 12\n"
+        "h1: 0\n"
+        "b0: 1\n"
+        "b1: 0\n"
+        "b2: 10\n"
+        "b3: 0\n"
+        "b4: 1\n"
+        "identity_level: homology\n"
+    )
+
+
 def test_type_output(capsys):
     assert main(["type", "catalog:baykur-korkmaz-43"]) == 0
     assert capsys.readouterr().out == "(4, 3)\n"
@@ -184,12 +204,14 @@ def test_sub_lantern_builds_lantern_18_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["lantern"], "cycle 'c2' at the substitution site does not match "
-                  "the registered boundary curve 'c1'"),
-    (["chain", "--dir", "contract"],
-     "cycles do not form the twelve-twist chain pattern"),
-    (["chain", "--dir", "expand"],
-     "expansion needs a conjugate of the standard separating curve"),
+    pytest.param(["lantern"], "cycle 1 ('c2') does not match the relation's "
+                 "'c1' moved by the conjugator of cycle 0", id="lantern"),
+    pytest.param(["chain", "--dir", "contract"],
+                 "cycle 2 ('c3') does not match the relation's 'c1' moved by "
+                 "the conjugator of cycle 0", id="chain-contract"),
+    pytest.param(["chain", "--dir", "expand"],
+                 "cycle 0 ('c1') does not match the relation's 's1' moved by "
+                 "the conjugator of cycle 0", id="chain-expand"),
 ])
 def test_sub_mismatch_exits_one(argv, message, capsys):
     assert main(["sub", argv[0], "catalog:chakiris-gamma", "--at", "0",
@@ -345,11 +367,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(
         tmp_path, pair):
     # Each t1 T2 pair multiplies the free-group images by about 2.6; without
-    # the bound, checking this 40-token conjugate exhausts memory.  The
-    # t3 T2 conjugate goes through the c3 table's inner part.
-    doc = tmp_path / "long.json"
+    # the bound, checking a word that holds this 40-token conjugate beside
+    # an unconjugated copy exhausts memory: the conjugator does not cancel
+    # cyclically there.  The t3 T2 conjugate goes through the c3 table's
+    # inner part.
+    conj = tmp_path / "conj.json"
     assert main(["conjugate", "catalog:matsumoto-62",
-                 "--word", ",".join(pair * 20), "-o", str(doc)]) == 0
+                 "--word", ",".join(pair * 20), "-o", str(conj)]) == 0
+    doc = tmp_path / "long.json"
+    assert main(["fibersum", "catalog:matsumoto-62", str(conj),
+                 "-o", str(doc)]) == 0
     result = _run_under_address_limit(256, """
         import sys
         from lefschetz.cli import main
@@ -359,6 +386,22 @@ def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(
     assert result.returncode == 2, result.stderr
     assert result.stderr == (
         "error: free-group images exceed the bound of 1000000 letters\n")
+
+
+@pytest.mark.parametrize("pair", [("t1", "T2"), ("t3", "T2")])
+def test_exact_check_folds_the_cyclic_core_of_a_long_conjugate(
+        tmp_path, capsys, pair):
+    # The 40-token conjugator cancels cyclically, so the check decides the
+    # conjugate as it decides the word, with the same witness.
+    doc = tmp_path / "long.json"
+    assert main(["conjugate", "catalog:matsumoto-62",
+                 "--word", ",".join(pair * 20), "-o", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(doc)]) == 0
+    assert capsys.readouterr().out == "identity: exact\n"
+    word = catalog.get_factorization("matsumoto-62")
+    moved = parse_factorization(doc.read_text())
+    assert identity_check(moved, "exact") == identity_check(word, "exact")
 
 
 def test_library_folds_of_a_long_c3_conjugate_stop_at_the_letter_bound(

@@ -210,14 +210,55 @@ def test_chain_substitute_respects_conjugators():
     expanded = chain_substitute(f, 0, "expand")
     assert all(c.conj == conj for c in expanded.cycles)
     assert evaluate(expanded) == evaluate(f)
+    # The chain is written with the reduced conjugator.
+    padded = Factorization(2, (Curve("s1", conj + (("c1", 1), ("c1", -1))),))
+    assert chain_substitute(padded, 0, "expand") == expanded
+
+
+def _lantern_precursor():
+    """hyperelliptic-sq after the left Hurwitz moves that put a lantern
+    boundary window at position 7 (the recipe of lantern-18-1)."""
+    f = get_factorization("hyperelliptic-sq")
+    for i in (5, 4, 6, 5, 7, 6):
+        f = hurwitz_move(f, i, "left")
+    return f
+
+
+def _expanded(at):
+    return chain_substitute(get_factorization("matsumoto-62"), at, "expand")
+
+
+@pytest.mark.parametrize("word", ["t1", "T3,s1", "t1,t2,T3,s1,t4,T5"])
+@pytest.mark.parametrize("source, op", [
+    pytest.param(_lantern_precursor, lambda f: lantern_substitute(f, 7),
+                 id="lantern-at-7"),
+    pytest.param(lambda: Factorization(2, standard_lantern().boundary),
+                 lambda f: lantern_substitute(f, 0), id="lantern-boundary"),
+    pytest.param(lambda: get_factorization("matsumoto-62"),
+                 lambda f: chain_substitute(f, 3, "expand"), id="expand-at-3"),
+    pytest.param(lambda: get_factorization("matsumoto-62"),
+                 lambda f: chain_substitute(f, 7, "expand"), id="expand-at-7"),
+    pytest.param(lambda: _expanded(3),
+                 lambda f: chain_substitute(f, 3, "contract"),
+                 id="contract-at-3"),
+    pytest.param(lambda: _expanded(7),
+                 lambda f: chain_substitute(f, 7, "contract"),
+                 id="contract-at-7"),
+])
+def test_substitutions_commute_with_global_conjugation(source, op, word):
+    # Both relations hold in every conjugate, so a window moved by one
+    # conjugator is traded as the unmoved one is.
+    f = source()
+    tokens = [parse_token(t) for t in word.split(",")]
+    assert op(global_conjugate(f, tokens)) == global_conjugate(op(f), tokens)
 
 
 def test_chain_substitute_rejects_bad_positions_and_directions():
     f = Factorization(2, (Curve("s1"),))
-    with pytest.raises(IndexError, match=r"^no cycle at position 1$"):
+    with pytest.raises(IndexError, match=r"^no 1-cycle window at position 1$"):
         chain_substitute(f, 1, "expand")
     with pytest.raises(IndexError,
-                       match=r"^no twelve consecutive cycles at position 0$"):
+                       match=r"^no 12-cycle window at position 0$"):
         chain_substitute(f, 0, "contract")
     with pytest.raises(ValueError, match=r"^unknown direction 'sideways'$"):
         chain_substitute(f, 1, "sideways")
@@ -306,6 +347,17 @@ def test_factorization_errors_name_the_twist():
             Factorization(2, (Curve("c1"), Curve("c2"), Curve("c1", (bad,))))
     with pytest.raises(ValueError, match=r"^twist 0: unknown curve label \['c1'\]"):
         Factorization(2, (Curve(["c1"]),))
+
+
+def test_factorization_refuses_list_conjugators_and_tokens():
+    # A list would make the word unhashable, and unequal to the same word
+    # spelled with tuples.
+    with pytest.raises(ValueError, match=r"^twist 0: conjugator \[\('c2', 1\)\] "
+                       r"is not a tuple of tokens$"):
+        Factorization(2, (Curve("c1", [("c2", 1)]),))
+    with pytest.raises(ValueError,
+                       match=r"^twist 1: malformed twist token \['c2', 1\]$"):
+        Factorization(2, (Curve("c1"), Curve("c1", (["c2", 1],))))
 
 
 def test_curve_class_and_word_name_an_unknown_label_or_token():

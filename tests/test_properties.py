@@ -1,6 +1,7 @@
 """Property tests of the exact and homology verdicts against the plain
-algorithms they replace, which are kept here as references, and of the
-file parser against the one validator, ``Factorization``."""
+algorithms they replace, which are kept here as references, of the
+file parser against the one validator, ``Factorization``, and of the
+move calculus as one stateful machine."""
 
 import json
 import re
@@ -10,6 +11,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from lefschetz import catalog, freegroup as fg
 from lefschetz.fileformat import (
@@ -22,9 +30,11 @@ from lefschetz.intlinalg import (
     identity_matrix,
     quotient_by_rows,
 )
+from lefschetz.invariants import first_homology
 from lefschetz.monodromy import (
     Curve,
     Factorization,
+    chain_substitute,
     composite_endo,
     conjugator_endo,
     curve_class,
@@ -33,6 +43,7 @@ from lefschetz.monodromy import (
     global_conjugate,
     hurwitz_move,
     identity_check,
+    ns_type,
     reduce_tokens,
     rotate,
     twist_product_tokens,
@@ -463,3 +474,91 @@ def test_parser_accepts_exactly_what_factorization_accepts(doc):
     except ValueError:
         expected = None
     assert parsed == expected
+
+
+CATALOG_WORDS = tuple(e for e in catalog.list_entries()
+                      if e.kind == "factorization")
+# Longer composite token words can drive the exact fold past its letter
+# bound within a few dozen moves.
+MAX_COMPOSITE_TOKENS = 200
+TWO_CHAIN_LENGTH = len(fg.TWO_CHAIN)
+
+
+class MoveCalculus(RuleBasedStateMachine):
+    """A catalog word driven through random moves: Hurwitz moves, rotation
+    and global conjugation keep every invariant below, and the chain trade
+    shifts the type by (+12, -1) and may change H1."""
+
+    @initialize(entry=st.sampled_from(CATALOG_WORDS))
+    def start(self, entry):
+        # The invariants start from what the catalog declares, so a fault
+        # that the start word already shows is caught too.
+        self.word = catalog.get_factorization(entry.name)
+        self.verdicts = (True, entry.level == "exact")
+        self.type = entry.expected_type
+        self.h1 = AbelianGroup(entry.expected_b1, entry.expected_torsion)
+
+    def identity_verdicts(self):
+        return tuple(identity_check(self.word, level).passed
+                     for level in ("homology", "exact"))
+
+    def short(self):
+        tokens = twist_product_tokens(self.word.cycles)
+        return len(tokens) <= MAX_COMPOSITE_TOKENS
+
+    @precondition(short)
+    @rule(i=st.integers(0, 63), direction=st.sampled_from(("left", "right")))
+    def hurwitz(self, i, direction):
+        i %= len(self.word) - 1
+        self.word = hurwitz_move(self.word, i, direction)
+
+    @rule(k=st.integers(0, 63))
+    def rotation(self, k):
+        self.word = rotate(self.word, k)
+
+    @precondition(short)
+    @rule(prefix=st.lists(tokens, min_size=1, max_size=2))
+    def conjugation(self, prefix):
+        self.word = global_conjugate(self.word, prefix)
+
+    @precondition(lambda self: self.short()
+                  and any(c.base == "s1" for c in self.word.cycles))
+    @rule(data=st.data())
+    def expansion(self, data):
+        sites = [i for i, c in enumerate(self.word.cycles) if c.base == "s1"]
+        self.word = chain_substitute(
+            self.word, data.draw(st.sampled_from(sites)), "expand")
+        n, s = self.type
+        self.type = (n + 12, s - 1)
+        self.h1 = first_homology(self.word)
+
+    def contraction_sites(self):
+        sites = []
+        for at in range(len(self.word) - TWO_CHAIN_LENGTH + 1):
+            try:
+                chain_substitute(self.word, at, "contract")
+            except ValueError:
+                continue
+            sites.append(at)
+        return sites
+
+    @precondition(lambda self: self.contraction_sites())
+    @rule(data=st.data())
+    def contraction(self, data):
+        at = data.draw(st.sampled_from(self.contraction_sites()))
+        self.word = chain_substitute(self.word, at, "contract")
+        n, s = self.type
+        self.type = (n - 12, s + 1)
+        self.h1 = first_homology(self.word)
+
+    @invariant()
+    def invariants_hold(self):
+        assert self.identity_verdicts() == self.verdicts
+        assert ns_type(self.word) == self.type
+        assert first_homology(self.word) == self.h1
+        text = serialize_factorization(self.word)
+        assert parse_factorization(text) == self.word
+
+
+test_move_calculus = MoveCalculus.TestCase
+test_move_calculus.settings = settings(stateful_step_count=20)
