@@ -16,10 +16,7 @@ tables usable for cut-open surface computations.
 An endomorphism is stored by its generator images: a tuple of freely
 reduced words, entry ``i - 1`` holding the image of generator ``i``.
 Everything here is in fact an automorphism (twists along simple closed
-curves and their compositions).  ``TWIST_INNER_PARTS`` splits a twist T
-as ``x -> g . psi(x) . g^-1``; the exact check in ``monodromy`` composes
-the shorter tables psi and carries the inner part as one extra word,
-which it stores as the image of a fifth generator.
+curves and their compositions).
 """
 
 from __future__ import annotations
@@ -184,12 +181,3 @@ TWO_CHAIN = ("c1", "c2") * 6
 for _sign, _outermost_first in ((1, TWO_CHAIN[::-1]), (-1, TWO_CHAIN)):
     TWIST_IMAGES["s1", _sign] = reduce(
         compose, [TWIST_IMAGES[label, _sign] for label in _outermost_first])
-
-
-# The inner part g of each twist table T that has one: T(x) is
-# g . psi(x) . g^-1 with psi shorter than T.  Only c3 has one; its psi
-# passes a1 and a2 through.
-TWIST_INNER_PARTS: dict[tuple[str, int], Word] = {
-    ("c3", 1): (-3, -1),
-    ("c3", -1): (1, 3),
-}

@@ -125,7 +125,7 @@ def pi1_presentation(f: Factorization) -> Presentation:
         raise ValueError("free-group presentations need fiber genus 2")
     if f.base_genus != 0:
         raise ValueError("presentations are implemented over the sphere only")
-    relators = [monodromy.curve_word(curve, 2) for curve in f.cycles]
+    relators = [monodromy.curve_word(curve) for curve in f.cycles]
     relators.append(freegroup.boundary_word(2))
     return Presentation(("a1", "b1", "a2", "b2"), tuple(relators))
 

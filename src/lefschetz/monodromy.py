@@ -22,8 +22,8 @@ type, the lantern check and the invariants all read that one list.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import freegroup
 from . import symplectic
@@ -87,6 +87,8 @@ class Curve(NamedTuple):
 def _curve_problem(curve: Curve, genus: int) -> Optional[str]:
     """Why ``curve`` names no curve at ``genus``, naming its label or
     token as written, or None if it does."""
+    if not isinstance(curve, Curve):
+        return f"expected a Curve, got {curve!r}"
     known = label_classes(genus)
     if not isinstance(curve.base, str) or curve.base not in known:
         return f"unknown curve label {curve.base!r} at genus {genus}"
@@ -185,19 +187,27 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
 IMAGE_LETTER_BOUND = 1_000_000
 
 
+# Each genus-2 twist table T splits as x -> g . psi(x) . g^-1 with psi
+# shorter than T; only c3 has an inner part g, and its psi passes a1 and
+# a2 through.
+TWIST_INNER_PARTS: dict[Token, Word] = {
+    ("c3", 1): (-3, -1),
+    ("c3", -1): (1, 3),
+}
+
+
 def _fold_table(token: Token) -> Endo:
-    g = freegroup.TWIST_INNER_PARTS.get(token, ())
+    g = TWIST_INNER_PARTS.get(token, ())
     gi = freegroup.inverse(g)
     psi = (freegroup.conjugate(im, gi) for im in freegroup.TWIST_IMAGES[token])
     return (*psi, (5,) + g)
 
 
-# Each genus-2 twist T is x -> g . psi(x) . g^-1, with g from
-# freegroup.TWIST_INNER_PARTS (empty for all but c3).  Its fold table
-# sends a1..a4 to psi(a1)..psi(a4) and a fifth generator to a5 . g.  The
-# fold holds Psi and W, the action being x -> W . Psi(x) . W^-1, with W as
-# the image of a5; since Psi o Inn(g) = Inn(Psi(g)) o Psi, composing with
-# the next table yields Psi o psi and, as the fifth image, W . Psi(g).
+# A twist's fold table sends a1..a4 to psi(a1)..psi(a4) and a fifth
+# generator to a5 . g.  The fold holds Psi and W, the action being
+# x -> W . Psi(x) . W^-1, with W as the image of a5; since
+# Psi o Inn(g) = Inn(Psi(g)) o Psi, composing with the next table yields
+# Psi o psi and, as the fifth image, W . Psi(g).
 FOLD_TABLES: dict[Token, Endo] = {
     token: _fold_table(token) for token in freegroup.TWIST_IMAGES
 }
@@ -242,49 +252,26 @@ def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     return tuple(images)
 
 
-def curve_word(curve: Curve, genus: int) -> Word:
-    """Free-group representative of the curve; genus 2 only."""
-    if genus != 2:
-        raise ValueError("free-group curve words are available only at genus 2")
-    problem = _curve_problem(curve, genus)
+def curve_word(curve: Curve) -> Word:
+    """Free-group representative of a genus-2 curve."""
+    problem = _curve_problem(curve, 2)
     if problem:
         raise ValueError(problem)
     endo = conjugator_endo(curve.conj)
     return freegroup.apply_endo(endo, freegroup.LABEL_WORDS[curve.base])
 
 
-def twist_tokens(curve: Curve, sign: int = 1) -> tuple[Token, ...]:
-    """The twist about a curve as the token word conj . base^sign . conj^-1."""
-    inverse = tuple((label, -s) for label, s in reversed(curve.conj))
-    return curve.conj + ((curve.base, sign),) + inverse
-
-
-def twist_product_tokens(curves: Sequence[Curve]) -> list[Token]:
-    """Reduced token word of T(c_N) o ... o T(c_1) for curves c_1 .. c_N,
-    outermost first: each twist conj . base . conj^-1 is written last
-    curve first, and each token cancels against the last one kept."""
-    out: list[Token] = []
-    for curve in reversed(curves):
-        for label, sign in curve.conj:
-            if out and out[-1] == (label, -sign):
-                out.pop()
-            else:
-                out.append((label, sign))
-        if out and out[-1] == (curve.base, -1):
-            out.pop()
-        else:
-            out.append((curve.base, 1))
-        for label, sign in reversed(curve.conj):
-            if out and out[-1] == (label, sign):
-                out.pop()
-            else:
-                out.append((label, -sign))
-    return out
+def twist_tokens(curve: Curve, sign: int = 1) -> Iterator[Token]:
+    """The twist about a curve, unreduced: conj . base^sign . conj^-1."""
+    yield from curve.conj
+    yield curve.base, sign
+    for label, s in reversed(curve.conj):
+        yield label, -s
 
 
 def curve_twist_endo(curve: Curve) -> Endo:
     """The twist about a conjugated curve, as a free-group automorphism."""
-    return conjugator_endo(twist_product_tokens((curve,)))
+    return conjugator_endo(reduce_tokens(twist_tokens(curve)))
 
 
 def ns_type(f: Factorization) -> tuple[int, int]:
@@ -298,10 +285,11 @@ def evaluate(f: Factorization):
     return symplectic.evaluate_classes(f.classes, 2 * f.genus)
 
 
-def _composite_tokens(f: Factorization) -> list[Token]:
+def _composite_tokens(f: Factorization) -> tuple[Token, ...]:
     if f.genus != 2:
         raise ValueError("exact composites are available only at genus 2")
-    return twist_product_tokens(f.cycles)
+    twists = map(twist_tokens, reversed(f.cycles))
+    return reduce_tokens(chain.from_iterable(twists))
 
 
 def composite_endo(f: Factorization) -> Endo:
@@ -331,7 +319,10 @@ def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
     The exact check folds only the cyclically reduced token word: a
     composite P . w . P^-1 is inner exactly when w is, and since every
     table fixes the boundary word, w's witness is a power of it, which P
-    fixes, so it is the whole composite's witness too.
+    fixes, so it is the whole composite's witness too.  For the exact
+    catalog words, their fiber sums and the words that moves make from
+    these, the witness is the inverse boundary word once per fiber-sum
+    summand.
     """
     if level == "homology":
         return IdentityReport(level, is_identity_matrix(evaluate(f)))

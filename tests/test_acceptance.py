@@ -38,14 +38,6 @@ from lefschetz.surface import algebraic_intersection, label_classes
 from lefschetz.symplectic import mod_p_closure, transvection
 from reference import abelianize, acts_transitively_mod_p, mat_vec
 
-import pytest
-
-
-def _require(name: str) -> Factorization:
-    if name not in {e.name for e in catalog.list_entries()}:
-        pytest.skip(f"catalog entry {name} is unavailable")
-    return catalog.get_factorization(name)
-
 
 def test_criterion_01_twist_action_on_homology():
     rng = random.Random(101)
@@ -90,7 +82,7 @@ def test_criterion_03_invariant_table():
     assert twenty.betti[1] == 0
     assert twenty.b2_plus == 1
 
-    smallest = invariant_report(_require("baykur-korkmaz-43"))
+    smallest = invariant_report(catalog.get_factorization("baykur-korkmaz-43"))
     assert smallest.euler == 3
     assert smallest.signature == -3
     assert smallest.betti[1] == 2
@@ -98,7 +90,7 @@ def test_criterion_03_invariant_table():
     assert smallest.b2_plus == 1
     assert smallest.b2_minus == 4
 
-    matsumoto = invariant_report(_require("matsumoto-62"))
+    matsumoto = invariant_report(catalog.get_factorization("matsumoto-62"))
     assert matsumoto.signature == -4
     assert matsumoto.betti[1] == 2
     assert matsumoto.b2_plus == 1

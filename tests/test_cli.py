@@ -419,7 +419,7 @@ def test_library_folds_of_a_long_c3_conjugate_stop_at_the_letter_bound(
         with open(sys.argv[1]) as fh:
             f = parse_factorization(fh.read())
         for call in (lambda: composite_endo(f),
-                     lambda: curve_word(f.cycles[0], 2)):
+                     lambda: curve_word(f.cycles[0])):
             try:
                 call()
             except ValueError as exc:

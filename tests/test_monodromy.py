@@ -108,6 +108,23 @@ def test_identity_check_exact_reports_conjugator():
     assert same_loop(report.conjugator, fg.inverse(fg.boundary_word(2)))
 
 
+def test_exact_witness_is_one_inverse_boundary_word_per_summand():
+    # An exact catalog word composes to conjugation by the inverse surface
+    # relator once per fiber-sum summand, also after a global conjugation
+    # and a chain expansion at any of its separating cycles.
+    boundary = fg.inverse(fg.boundary_word(2))
+    for e in catalog.list_entries():
+        if e.kind != "factorization" or e.level != "exact":
+            continue
+        summands = 2 if e.name == "fibersum-12-4" else 1
+        f = global_conjugate(get_factorization(e.name), (("c3", -1),))
+        words = [f] + [chain_substitute(f, at, "expand")
+                       for at, c in enumerate(f.cycles) if c.base == "s1"]
+        for word in words:
+            report = identity_check(word, "exact")
+            assert report.conjugator == boundary * summands
+
+
 def test_identity_check_rejects_unknown_level():
     with pytest.raises(ValueError):
         identity_check(chain_word(), "heuristic")
@@ -278,7 +295,7 @@ def test_composite_endo_matches_twist_composition():
 
 @pytest.mark.parametrize("token", sorted(fg.TWIST_IMAGES))
 def test_fold_tables_split_each_twist_into_inner_part_and_psi(token):
-    g = fg.TWIST_INNER_PARTS.get(token, ())
+    g = monodromy.TWIST_INNER_PARTS.get(token, ())
     *psi, fifth = FOLD_TABLES[token]
     assert fifth == (5,) + g
     # The tables are built as conjugates of TWIST_IMAGES by g^-1, so these
@@ -349,6 +366,16 @@ def test_factorization_errors_name_the_twist():
         Factorization(2, (Curve(["c1"]),))
 
 
+def test_factorization_refuses_a_cycle_that_is_not_a_curve():
+    # Not converted, as list conjugators are not: the caller spells a Curve.
+    for bad, shown in (("c1", r"'c1'"),
+                       (("c1", (("c2", 1),)), r"\('c1', \(\('c2', 1\),\)\)"),
+                       (None, "None")):
+        with pytest.raises(ValueError,
+                           match=rf"^twist 0: expected a Curve, got {shown}$"):
+            Factorization(2, (bad,))
+
+
 def test_factorization_refuses_list_conjugators_and_tokens():
     # A list would make the word unhashable, and unequal to the same word
     # spelled with tuples.
@@ -367,9 +394,10 @@ def test_curve_class_and_word_name_an_unknown_label_or_token():
              r"^conjugator token 't9' names no curve at genus 2$"),
             (Curve("c1", (("t9", 1),)),
              r"^conjugator token 't9' names no curve at genus 2$")):
-        for function in (curve_class, curve_word):
-            with pytest.raises(ValueError, match=message):
-                function(curve, 2)
+        with pytest.raises(ValueError, match=message):
+            curve_class(curve, 2)
+        with pytest.raises(ValueError, match=message):
+            curve_word(curve)
     with pytest.raises(ValueError, match=r"^unknown curve label 'c9' at genus 3$"):
         curve_class(Curve("c9"), 3)
     assert curve_class(Curve("c7"), 3) == (0, 0, 0, 0, 1, 0)

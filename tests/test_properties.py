@@ -5,7 +5,6 @@ move calculus as one stateful machine."""
 
 import json
 import re
-from itertools import chain
 
 import pytest
 
@@ -30,10 +29,16 @@ from lefschetz.intlinalg import (
     identity_matrix,
     quotient_by_rows,
 )
-from lefschetz.invariants import first_homology
+from lefschetz.feasibility import b2plus, signature
+from lefschetz.invariants import (
+    betti_bound_check,
+    first_homology,
+    invariant_report,
+)
 from lefschetz.monodromy import (
     Curve,
     Factorization,
+    _composite_tokens,
     chain_substitute,
     composite_endo,
     conjugator_endo,
@@ -46,11 +51,10 @@ from lefschetz.monodromy import (
     ns_type,
     reduce_tokens,
     rotate,
-    twist_product_tokens,
     twist_tokens,
 )
 from lefschetz.surface import label_classes
-from lefschetz.symplectic import evaluate_classes, transvection
+from lefschetz.symplectic import evaluate_classes, mod_p_closure, transvection
 from reference import invariant_factors, mat_mul, mat_vec
 
 RANK = 4
@@ -254,14 +258,6 @@ def test_curve_twist_endo_matches_reference(curve):
     assert curve_twist_endo(curve) == reference_twist(curve)
     inverse = conjugator_endo(reduce_tokens(twist_tokens(curve, -1)))
     assert inverse == reference_twist(curve, -1)
-
-
-@given(st.lists(tokens, max_size=4), st.lists(genus2_curves, max_size=5))
-def test_twist_product_tokens_is_the_reduced_twist_word(prefix, cycles):
-    # A shared prefix makes neighbouring twists cancel across curves.
-    cycles = [Curve(c.base, tuple(prefix) + c.conj) for c in cycles]
-    plain = chain.from_iterable(map(twist_tokens, reversed(cycles)))
-    assert twist_product_tokens(cycles) == list(reduce_tokens(plain))
 
 
 EXACT_WORDS = tuple(e.name for e in catalog.list_entries()
@@ -478,16 +474,28 @@ def test_parser_accepts_exactly_what_factorization_accepts(doc):
 
 CATALOG_WORDS = tuple(e for e in catalog.list_entries()
                       if e.kind == "factorization")
+EXACT_ENTRIES = tuple(e for e in CATALOG_WORDS if e.level == "exact")
 # Longer composite token words can drive the exact fold past its letter
 # bound within a few dozen moves.
 MAX_COMPOSITE_TOKENS = 200
 TWO_CHAIN_LENGTH = len(fg.TWO_CHAIN)
+# The exact witness of a catalog word is the inverse boundary word to the
+# power k, its count of fiber-sum summands: 1 for each data-file word.
+SUMMANDS = {"fibersum-12-4": 2}
+MAX_SUMMANDS = 3
+
+
+def closure_orders(f):
+    """Orders of the word's monodromy groups mod 2 and mod 3."""
+    generators = [transvection(c) for c in f.classes]
+    return tuple(mod_p_closure(generators, p).order for p in (2, 3))
 
 
 class MoveCalculus(RuleBasedStateMachine):
     """A catalog word driven through random moves: Hurwitz moves, rotation
-    and global conjugation keep every invariant below, and the chain trade
-    shifts the type by (+12, -1) and may change H1."""
+    and global conjugation keep every invariant below; the chain trade
+    shifts the type by (+12, -1) and a fiber sum adds the summand's type,
+    and both may change H1 and the mod-p orders."""
 
     @initialize(entry=st.sampled_from(CATALOG_WORDS))
     def start(self, entry):
@@ -497,14 +505,16 @@ class MoveCalculus(RuleBasedStateMachine):
         self.verdicts = (True, entry.level == "exact")
         self.type = entry.expected_type
         self.h1 = AbelianGroup(entry.expected_b1, entry.expected_torsion)
-
-    def identity_verdicts(self):
-        return tuple(identity_check(self.word, level).passed
-                     for level in ("homology", "exact"))
+        self.orders = closure_orders(self.word)
+        self.summands = SUMMANDS.get(entry.name, 1)
 
     def short(self):
-        tokens = twist_product_tokens(self.word.cycles)
-        return len(tokens) <= MAX_COMPOSITE_TOKENS
+        return len(_composite_tokens(self.word)) <= MAX_COMPOSITE_TOKENS
+
+    def reread(self):
+        """After a trade or a sum: the new word's H1 and mod-p orders."""
+        self.h1 = first_homology(self.word)
+        self.orders = closure_orders(self.word)
 
     @precondition(short)
     @rule(i=st.integers(0, 63), direction=st.sampled_from(("left", "right")))
@@ -530,7 +540,7 @@ class MoveCalculus(RuleBasedStateMachine):
             self.word, data.draw(st.sampled_from(sites)), "expand")
         n, s = self.type
         self.type = (n + 12, s - 1)
-        self.h1 = first_homology(self.word)
+        self.reread()
 
     def contraction_sites(self):
         sites = []
@@ -549,13 +559,41 @@ class MoveCalculus(RuleBasedStateMachine):
         self.word = chain_substitute(self.word, at, "contract")
         n, s = self.type
         self.type = (n - 12, s + 1)
-        self.h1 = first_homology(self.word)
+        self.reread()
+
+    @precondition(lambda self: self.short() and self.verdicts[1]
+                  and self.summands < MAX_SUMMANDS)
+    @rule(entry=st.sampled_from(EXACT_ENTRIES))
+    def summation(self, entry):
+        # An exact summand composes to an inner automorphism, so both
+        # verdicts stay.  Only exact words are summed: once summed, the
+        # lantern words' folds, which are not inner, passed the letter
+        # bound within a few moves.
+        self.word = fiber_sum(self.word, catalog.get_factorization(entry.name))
+        (n, s), (m, t) = self.type, entry.expected_type
+        self.type = (n + m, s + t)
+        self.summands += SUMMANDS.get(entry.name, 1)
+        self.reread()
 
     @invariant()
     def invariants_hold(self):
-        assert self.identity_verdicts() == self.verdicts
+        homology, exact = (identity_check(self.word, level)
+                           for level in ("homology", "exact"))
+        assert (homology.passed, exact.passed) == self.verdicts
+        if exact:
+            boundary = fg.inverse(fg.boundary_word(2))
+            assert exact.conjugator == boundary * self.summands
         assert ns_type(self.word) == self.type
-        assert first_homology(self.word) == self.h1
+        assert closure_orders(self.word) == self.orders
+        assert betti_bound_check(self.word)
+        # The report reads H1, the signature and b2+- off the word itself.
+        report = invariant_report(self.word)
+        assert report.h1 == self.h1
+        n, s = self.type
+        b2_plus = b2plus(n, s, self.h1.free_rank)
+        assert report.signature == signature(n, s)
+        assert (report.b2_plus, report.b2_minus) == (
+            b2_plus, b2_plus - signature(n, s))
         text = serialize_factorization(self.word)
         assert parse_factorization(text) == self.word
 
