@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import neg
 from typing import Optional
 
 from . import catalog, feasibility, fileformat, invariants, monodromy, symplectic
@@ -123,7 +124,10 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
         raise ValueError("--primes takes comma-separated integers, "
                          f"got {args.primes!r}") from None
     f = _load(args.src)
-    generators = [symplectic.transvection(c) for c in f.classes]
+    # T_c = T_-c, so one transvection per class up to sign; a null class
+    # gives the identity, which the closure drops.
+    classes = dict.fromkeys(max(c, tuple(map(neg, c))) for c in f.classes)
+    generators = [symplectic.transvection(c) for c in classes]
     certificate = symplectic.transitivity_certificate(generators, primes)
     for entry in certificate.entries:
         tag = "full" if entry.is_full else "proper subgroup"

@@ -174,6 +174,8 @@ class Factorization:
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     """Homology class of a conjugated standard curve: the base class pushed
     through the conjugator's signed transvections, innermost token first."""
+    if not isinstance(curve, Curve):
+        raise ValueError(_curve_problem(curve, genus))
     classes = label_classes(genus)
     steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
     try:

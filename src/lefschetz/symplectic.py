@@ -19,11 +19,18 @@ counted by its frames: a linear map is fixed by the images of a basis,
 so G acts freely on the orbit of the frame (e1, e2, e3, e4), whose
 length is |G|.  A proper subgroup of Sp(4, Z/5) has index at least 156,
 so at p = 5 that walk stops within 60,000 frames.
+
+A generator's checks and its permutation of the vectors depend only on
+its reduction mod p, so they are made once per process and remembered
+(``_transvection_permutation``).  Only checked transvections are kept,
+and Sp(4, Z/p) has p^4 - 1 nontrivial ones: the memo never holds more
+than 15, 80 and 624 entries at p = 2, 3 and 5, whatever the input.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -52,6 +59,12 @@ def _column_pairings(m: Sequence[Sequence[int]]) -> Matrix:
     columns = tuple(zip(*m))
     return tuple(tuple(algebraic_intersection(u, v) for v in columns)
                  for u in columns)
+
+
+# The identity of Sp(4) and the form J = <e_i, e_j> that its elements
+# preserve.
+_IDENTITY = identity_matrix(4)
+_FORM = _column_pairings(_IDENTITY)
 
 
 def evaluate_classes(classes: Sequence[Sequence[int]], rank: int) -> Matrix:
@@ -121,28 +134,40 @@ def _orbit(start, perms: Sequence[tuple[int, ...]], act: Callable) -> int:
 
 def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
     """The generators distinct and nontrivial mod p, after checking that
-    there is one, p is 2, 3 or 5, and each is 4x4, symplectic mod p and
-    a transvection mod p: rank(g - I) <= 1, every 2x2 minor zero."""
+    there is one, p is 2, 3 or 5, and each is a 4x4 integer matrix."""
     if not generators:
         raise ValueError("need at least one generator")
     if p not in (2, 3, 5):
         raise ValueError("closure primes are limited to 2, 3, and 5")
     if any(len(g) != 4 or any(len(r) != 4 for r in g) for g in generators):
         raise ValueError("closures are supported for genus 2 only")
-    identity = identity_matrix(4)
     exact = dict.fromkeys(tuple(map(tuple, g)) for g in generators)
     distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in exact)
-    distinct.pop(identity, None)
-    form = intlinalg.mat_mod(_column_pairings(identity), p)
-    for g in distinct:
-        if intlinalg.mat_mod(_column_pairings(g), p) != form:
-            raise ValueError(f"generator {g} is not symplectic mod {p}")
-        d = [[x - y for x, y in zip(row, e)] for row, e in zip(g, identity)]
-        if any((r[i] * s[j] - r[j] * s[i]) % p
-               for r, s in combinations(d, 2)
-               for i, j in combinations(range(4), 2)):
-            raise ValueError(f"generator {g} is not a transvection mod {p}")
+    distinct.pop(_IDENTITY, None)
+    # Only integer matrices may reach the memo: a float matrix hashes
+    # like the integer one it equals.
+    if any(type(x) is not int for g in distinct for row in g for x in row):
+        raise TypeError("generators must be integer matrices")
     return list(distinct)
+
+
+@lru_cache(maxsize=None)
+def _transvection_permutation(g: Matrix, p: int) -> tuple[int, ...]:
+    """The vector permutation of g, a nontrivial 4x4 matrix reduced mod
+    p, after checking that g is symplectic mod p and a transvection mod
+    p: rank(g - I) <= 1, every 2x2 minor zero.
+
+    Memoized: a refused g raises and is never stored, so the memo holds
+    only transvections of Sp(4, Z/p), at most p^4 - 1 per prime."""
+    form = intlinalg.mat_mod(_FORM, p)
+    if intlinalg.mat_mod(_column_pairings(g), p) != form:
+        raise ValueError(f"generator {g} is not symplectic mod {p}")
+    d = [[x - y for x, y in zip(row, e)] for row, e in zip(g, _IDENTITY)]
+    if any((r[i] * s[j] - r[j] * s[i]) % p
+           for r, s in combinations(d, 2)
+           for i, j in combinations(range(4), 2)):
+        raise ValueError(f"generator {g} is not a transvection mod {p}")
+    return _vector_permutation(g, p)
 
 
 def mod_p_closure(
@@ -150,18 +175,20 @@ def mod_p_closure(
 ) -> ClosureReport:
     """Order of the subgroup G of Sp(4, Z/p) generated by the given
     integer matrices, each a symplectic transvection mod p, or
-    ``ValueError`` is raised.
+    ``ValueError`` is raised (``TypeError`` for entries that are not
+    integers).
 
-    Each generator that is distinct and nontrivial mod p becomes a
-    permutation of the vector codes of (Z/p)^4.  G is full exactly when
-    the orbit of e4 (code 1) covers all p^4 - 1 nonzero vectors: if it
-    does, G holds the transvection along every nonzero vector, as the
-    conjugate of a generator's.  Otherwise G is proper, and its order is
+    Each generator that is distinct and nontrivial mod p is checked and
+    becomes a permutation of the vector codes of (Z/p)^4, once per
+    process for each such reduction.  G is full exactly when the orbit
+    of e4 (code 1) covers all p^4 - 1 nonzero vectors: if it does, G
+    holds the transvection along every nonzero vector, as the conjugate
+    of a generator's.  Otherwise G is proper, and its order is
     the number of frames reached from the basis frame (e1, e2, e3, e4),
     on which G acts freely: at most 60,000 at p = 5.
     """
-    distinct = _distinct_generators(generators, p)
-    perms = [_vector_permutation(g, p) for g in distinct]
+    perms = [_transvection_permutation(g, p)
+             for g in _distinct_generators(generators, p)]
     if _orbit(1, perms, lambda v, g: g[v]) == p**4 - 1:
         return ClosureReport(p, symplectic_group_order(2, p))
     frame = (p**3, p**2, p, 1)

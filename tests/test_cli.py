@@ -270,6 +270,31 @@ def test_transitivity_reports_a_repeated_prime_once(capsys):
         "verdict: consistent with transitive\n")
 
 
+def _transitivity_lines(f, primes):
+    """The ``transitivity`` lines for one transvection per cycle."""
+    certificate = symplectic.transitivity_certificate(
+        [symplectic.transvection(c) for c in f.classes], primes)
+    lines = [f"p={e.prime}: closure order {e.order} of {e.full_group_order}"
+             f" ({'full' if e.is_full else 'proper subgroup'})\n"
+             for e in certificate.entries]
+    return "".join(lines) + f"verdict: {certificate.verdict}\n"
+
+
+def test_transitivity_takes_each_class_once_up_to_sign(tmp_path, capsys):
+    # T_c = T_-c and a null class twists trivially, so the command's one
+    # transvection per class up to sign spans the group of all of them.
+    null = Factorization(2, (Curve("s1"), Curve("s1", (("c1", -1),))))
+    word = tmp_path / "null.json"
+    word.write_text(serialize_factorization(null))
+    sources = [(f"catalog:{e.name}", catalog.get_factorization(e.name))
+               for e in catalog.list_entries()
+               if e.kind == "factorization"] + [(str(word), null)]
+    for src, f in sources:
+        assert main(["transitivity", src, "--primes", "2,3,5"]) == 0
+        assert capsys.readouterr() == (
+            _transitivity_lines(f, (2, 3, 5)), ""), src
+
+
 @pytest.mark.parametrize("primes", ["2,,3", "", "abc"])
 def test_transitivity_names_a_malformed_primes_list(primes, capsys):
     assert main(["transitivity", "catalog:chakiris-gamma",

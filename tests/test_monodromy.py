@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -401,3 +402,12 @@ def test_curve_class_and_word_name_an_unknown_label_or_token():
     with pytest.raises(ValueError, match=r"^unknown curve label 'c9' at genus 3$"):
         curve_class(Curve("c9"), 3)
     assert curve_class(Curve("c7"), 3) == (0, 0, 0, 0, 1, 0)
+
+
+def test_curve_class_and_word_refuse_a_cycle_that_is_not_a_curve():
+    for cycle in ("c1", ("c1", ()), None):
+        message = rf"^expected a Curve, got {re.escape(repr(cycle))}$"
+        with pytest.raises(ValueError, match=message):
+            curve_class(cycle, 2)
+        with pytest.raises(ValueError, match=message):
+            curve_word(cycle)

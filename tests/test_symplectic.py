@@ -1,14 +1,19 @@
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import lefschetz
 from lefschetz.catalog import get_factorization
 from lefschetz.intlinalg import identity_matrix, is_identity_matrix
 from lefschetz.monodromy import curve_class
 from lefschetz.surface import algebraic_intersection, label_classes
 from lefschetz.symplectic import (
     _column_pairings,
+    _transvection_permutation,
     _vector_permutation,
     ClosureReport,
     mod_p_closure,
@@ -319,3 +324,75 @@ def test_mod_p_closure_checks_its_generators():
         mod_p_closure([((1, 0, 0, 0), (0, 1, 0, 0))], 3)
     with pytest.raises(ValueError, match="limited to 2, 3, and 5"):
         mod_p_closure(_chain_transvections(), 7)
+
+
+def test_closure_reports_are_the_same_from_a_cold_or_warm_memo():
+    cases = [([transvection(c) for c in get_factorization(name).classes],
+              dict(zip((2, 3, 5), orders)))
+             for name, orders in sorted(CATALOG_ORDERS.items())]
+    rng = random.Random(20261022)
+    for _ in range(20):
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(4))
+                   for _ in range(rng.randint(1, 6))]
+        cases.append(([transvection(v) for v in vectors], None))
+    for gens, orders in cases:
+        for p in (2, 3, 5):
+            _transvection_permutation.cache_clear()
+            cold = mod_p_closure(gens, p)
+            assert mod_p_closure(gens, p) == cold
+            if orders:
+                assert cold.order == orders[p]
+
+
+def test_refused_generators_raise_every_time_and_stay_out_of_the_memo():
+    s = label_classes(2)
+    scaled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    two_twists = mat_mul(transvection(s["c1"]), transvection(s["c2"]))
+    valid = [transvection(s["c1"])]
+    _transvection_permutation.cache_clear()
+    for p in (2, 3, 5):
+        for bad, message in ((scaled, "not symplectic"),
+                             (two_twists, "not a transvection")):
+            for _ in range(2):
+                mod_p_closure(valid, p)
+                stored = _transvection_permutation.cache_info().currsize
+                with pytest.raises(ValueError, match=f"{message} mod {p}"):
+                    mod_p_closure(valid + [bad], p)
+                assert _transvection_permutation.cache_info().currsize == (
+                    stored)
+    # The memo now holds valid[0] mod 2, which a float matrix or a float
+    # prime would hash like.
+    floats = [tuple(tuple(float(x) for x in row) for row in valid[0])]
+    with pytest.raises(TypeError, match="integer matrices"):
+        mod_p_closure(floats, 2)
+    with pytest.raises(TypeError, match="integer matrices"):
+        mod_p_closure(valid, 2.0)
+
+
+def test_the_memo_holds_only_the_transvections_of_sp4():
+    # Sp(4, Z/p) has p^4 - 1 nontrivial transvections: T_v mod 2, and
+    # T_v and its square mod 3.  Integer lifts of every vector fill the
+    # memo to that bound and no further.
+    _transvection_permutation.cache_clear()
+    for p in (2, 3):
+        gens = []
+        for v in product(range(-2, 3), repeat=4):
+            if any(x % p for x in v):
+                t = transvection(v)
+                gens += [t, mat_mul(t, t)]
+                mod_p_closure([t], p)
+        assert mod_p_closure(gens, p).is_full
+    assert _transvection_permutation.cache_info().currsize == 15 + 80
+
+
+def test_importing_the_cli_fills_no_memo():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(lefschetz.__file__).parents[1])!r})\n"
+        "import lefschetz.cli\n"
+        "from lefschetz.symplectic import _transvection_permutation\n"
+        "print(_transvection_permutation.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0"]
