@@ -18,8 +18,8 @@ level, which is the level their construction guarantees.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple, Optional, Union
 
 from . import fileformat
@@ -105,8 +105,9 @@ _BY_NAME = {e.name: e for e in _ENTRIES}
 
 
 def _data_text(name: str) -> str:
-    data = resources.files("lefschetz").joinpath("data")
-    return data.joinpath(f"{name}.json").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def _derive_18_1() -> Factorization:

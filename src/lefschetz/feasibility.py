@@ -69,11 +69,9 @@ def admissible(n: int, s: int) -> NSReport:
     weight_ok = n + 7 * s >= 20
     sharp_ok = 2 * n - s >= 5
     is_admissible = mod10_ok and weight_ok and sharp_ok
-    b1_forced = None
-    b2 = None
+    b1_forced = b2 = None
     if is_admissible and (2 * n - s == 5 or n + 2 * s == 10):
         b1_forced = 2
-    if b1_forced is not None:
         b2 = b2plus(n, s, b1_forced)
     if not is_admissible:
         status = "inadmissible"
@@ -114,8 +112,6 @@ def b2plus_one_types() -> list[NSReport]:
     for target, b1 in ((10, 2), (20, 0)):
         for s in range(target // 2 + 1):
             n = target - 2 * s
-            if n <= 0:
-                continue
             report = admissible(n, s)
             if not report.admissible:
                 continue
@@ -147,7 +143,7 @@ def family_invariants(k: int) -> FamilyReport:
     indecomposable; b2- meets the separating-cycle bound s + 1 with
     equality for every k.
     """
-    if k < 2:
+    if type(k) is not int or k < 2:
         raise ValueError("the family starts at k = 2")
     n, s = 2 * k, 4 * k - 5
     report = admissible(n, s)

@@ -23,14 +23,6 @@ def mat_mod(a: Sequence[Sequence[int]], p: int) -> Matrix:
     return tuple(tuple(x % p for x in row) for row in a)
 
 
-def is_identity_matrix(a: Sequence[Sequence[int]]) -> bool:
-    return all(
-        x == (1 if i == j else 0)
-        for i, row in enumerate(a)
-        for j, x in enumerate(row)
-    )
-
-
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors of an integer matrix: the ``min(rows, cols)``
     diagonal entries of its Smith normal form, each nonnegative and
@@ -105,8 +97,6 @@ def quotient_by_rows(
     rows = dict.fromkeys(max(r, tuple(map(neg, r)))
                          for r in map(tuple, relations))
     rows.pop((0,) * rank, None)
-    if not rows:
-        return AbelianGroup(rank)
     nonzero = [x for x in smith_normal_form(list(rows)) if x]
     torsion = tuple(x for x in nonzero if x > 1)
     return AbelianGroup(rank - len(nonzero), torsion)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import freegroup
 from . import symplectic
 from .freegroup import Endo, Word
-from .intlinalg import is_identity_matrix
+from .intlinalg import identity_matrix
 from .surface import algebraic_intersection, label_classes
 
 Token = tuple[str, int]
@@ -97,11 +97,10 @@ def _curve_problem(curve: Curve, genus: int) -> Optional[str]:
     if type(curve.conj) is not tuple:
         return f"conjugator {curve.conj!r} is not a tuple of tokens"
     for token in curve.conj:
-        label, sign = token
-        if (type(token) is not tuple or not isinstance(label, str)
-                or sign not in (1, -1)):
+        if (type(token) is not tuple or len(token) != 2
+                or not isinstance(token[0], str) or token[1] not in (1, -1)):
             return f"malformed twist token {token!r}"
-        if label not in known:
+        if token[0] not in known:
             return (f"conjugator token {token_string(token)!r} "
                     f"names no curve at genus {genus}")
     return None
@@ -327,7 +326,7 @@ def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
     summand.
     """
     if level == "homology":
-        return IdentityReport(level, is_identity_matrix(evaluate(f)))
+        return IdentityReport(level, evaluate(f) == identity_matrix(2 * f.genus))
     if level == "exact":
         tokens = _composite_tokens(f)
         i, j = 0, len(tokens)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from . import intlinalg
@@ -137,7 +136,7 @@ def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
     there is one, p is 2, 3 or 5, and each is a 4x4 integer matrix."""
     if not generators:
         raise ValueError("need at least one generator")
-    if p not in (2, 3, 5):
+    if type(p) is not int or p not in (2, 3, 5):
         raise ValueError("closure primes are limited to 2, 3, and 5")
     if any(len(g) != 4 or any(len(r) != 4 for r in g) for g in generators):
         raise ValueError("closures are supported for genus 2 only")
@@ -155,19 +154,18 @@ def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
 def _transvection_permutation(g: Matrix, p: int) -> tuple[int, ...]:
     """The vector permutation of g, a nontrivial 4x4 matrix reduced mod
     p, after checking that g is symplectic mod p and a transvection mod
-    p: rank(g - I) <= 1, every 2x2 minor zero.
+    p: it fixes exactly p^3 vectors.  Its fixed vectors are ker(g - I),
+    which has p^3 elements exactly when rank(g - I) = 1.
 
     Memoized: a refused g raises and is never stored, so the memo holds
     only transvections of Sp(4, Z/p), at most p^4 - 1 per prime."""
     form = intlinalg.mat_mod(_FORM, p)
     if intlinalg.mat_mod(_column_pairings(g), p) != form:
         raise ValueError(f"generator {g} is not symplectic mod {p}")
-    d = [[x - y for x, y in zip(row, e)] for row, e in zip(g, _IDENTITY)]
-    if any((r[i] * s[j] - r[j] * s[i]) % p
-           for r, s in combinations(d, 2)
-           for i, j in combinations(range(4), 2)):
+    perm = _vector_permutation(g, p)
+    if sum(v == w for v, w in enumerate(perm)) != p**3:
         raise ValueError(f"generator {g} is not a transvection mod {p}")
-    return _vector_permutation(g, p)
+    return perm
 
 
 def mod_p_closure(
@@ -178,14 +176,15 @@ def mod_p_closure(
     ``ValueError`` is raised (``TypeError`` for entries that are not
     integers).
 
-    Each generator that is distinct and nontrivial mod p is checked and
-    becomes a permutation of the vector codes of (Z/p)^4, once per
-    process for each such reduction.  G is full exactly when the orbit
-    of e4 (code 1) covers all p^4 - 1 nonzero vectors: if it does, G
-    holds the transvection along every nonzero vector, as the conjugate
-    of a generator's.  Otherwise G is proper, and its order is
-    the number of frames reached from the basis frame (e1, e2, e3, e4),
-    on which G acts freely: at most 60,000 at p = 5.
+    Each generator that is distinct and nontrivial mod p becomes a
+    permutation of the vector codes of (Z/p)^4, once per process for
+    each such reduction; it is a transvection when it fixes exactly p^3
+    codes.  G is full exactly when the orbit of e4 (code 1) covers all
+    p^4 - 1 nonzero vectors: if it does, G holds the transvection along
+    every nonzero vector, as the conjugate of a generator's.  Otherwise
+    G is proper, and its order is the number of frames reached from the
+    basis frame (e1, e2, e3, e4), on which G acts freely: at most 60,000
+    at p = 5.
     """
     perms = [_transvection_permutation(g, p)
              for g in _distinct_generators(generators, p)]

@@ -4,13 +4,13 @@ The package itself never multiplies matrices or takes determinants: its
 homology actions are built from the intersection pairing (see
 ``lefschetz.symplectic``).  These textbook formulas are the independent
 references: products, determinants, the pairing's matrix J, the
-symplectic condition m^T J m = J, the orbit of e1 mod p, and invariant
-factors from the gcds of minors.  Three free-group references sit
-beside them: ``abelianize``, a word's exponent-sum vector (the H1 oracle
-for presentations); ``same_loop``, conjugacy up to inversion by
-comparing every rotation of the cyclic reductions; and
-``S1_TWIST_IMAGES``, the s1 twist tables as conjugations of the first
-handle.
+symplectic condition m^T J m = J, the rank test for a transvection mod
+p, the orbit of e1 mod p, and invariant factors from the gcds of
+minors.  Three free-group references sit beside them: ``abelianize``, a
+word's exponent-sum vector (the H1 oracle for presentations);
+``same_loop``, conjugacy up to inversion by comparing every rotation of
+the cyclic reductions; and ``S1_TWIST_IMAGES``, the s1 twist tables as
+conjugations of the first handle.
 """
 
 from collections.abc import Sequence
@@ -98,6 +98,17 @@ def is_symplectic(m: Sequence[Sequence[int]]) -> bool:
         return False
     j = pairing_matrix(n // 2)
     return mat_mul(mat_mul(transpose(m), j), m) == j
+
+
+def is_transvection_mod_p(m: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether m - I has rank exactly 1 mod p: some entry of m - I is
+    nonzero mod p and every 2x2 minor vanishes mod p."""
+    d = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    n = len(d)
+    return (any(x % p for row in d for x in row)
+            and not any((r[i] * s[j] - r[j] * s[i]) % p
+                        for r, s in combinations(d, 2)
+                        for i, j in combinations(range(n), 2)))
 
 
 def acts_transitively_mod_p(generators: Sequence[Sequence[Sequence[int]]],

@@ -388,6 +388,23 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_neither_importlib_resources_nor_tempfile():
+    # Catalog data is read with open(); importlib.resources would pull in
+    # tempfile, zipfile and pathlib.  -S keeps site's own imports out.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefschetz.__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import lefschetz.cli
+
+        print(sorted({{"importlib.resources", "tempfile"}} & set(sys.modules)))
+    """)
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("pair", [("t1", "T2"), ("t3", "T2")])
 def test_exact_check_of_a_long_conjugate_stops_at_the_letter_bound(
         tmp_path, pair):

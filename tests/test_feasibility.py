@@ -99,8 +99,9 @@ def test_family_invariants_on_the_sharp_line():
         assert r.b2_minus == r.s + 1
         assert (r.euler, r.signature, r.b2, r.b2_plus, r.b2_minus, r.b1) == (
             6 * k - 9, 1 - 2 * k, 6 * k - 7, 2 * k - 3, 4 * k - 4, 2), k
-    with pytest.raises(ValueError):
-        family_invariants(1)
+    for k in (1, 2.5):
+        with pytest.raises(ValueError, match="^the family starts at k = 2$"):
+            family_invariants(k)
 
 
 def test_indecomposability_on_and_off_the_line():

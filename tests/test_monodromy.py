@@ -4,7 +4,7 @@ import re
 import pytest
 
 from lefschetz import freegroup as fg, monodromy
-from lefschetz.intlinalg import is_identity_matrix
+from lefschetz.intlinalg import identity_matrix
 from lefschetz.monodromy import (
     FOLD_TABLES,
     Curve,
@@ -88,7 +88,7 @@ def test_ns_type_counts_cycles():
 
 
 def test_evaluate_identity_word():
-    assert is_identity_matrix(evaluate(chain_word()))
+    assert evaluate(chain_word()) == identity_matrix(4)
 
 
 def test_identity_check_levels():
@@ -360,8 +360,10 @@ def test_factorization_errors_name_the_twist():
         Factorization(2, (Curve("c1"), Curve("c9")))
     with pytest.raises(ValueError, match=r"^twist 0: conjugator token 'T6'"):
         Factorization(2, (Curve("c1", (("c6", -1),)),))
-    for bad in (("c2", 2), (1, 1)):
-        with pytest.raises(ValueError, match=r"^twist 2: malformed twist token"):
+    # The token's shape is checked before it is unpacked as (label, sign).
+    for bad in (("c2", 2), (1, 1), ("c1", 1, 2), ("c1",), (), 5, None):
+        message = f"twist 2: malformed twist token {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Factorization(2, (Curve("c1"), Curve("c2"), Curve("c1", (bad,))))
     with pytest.raises(ValueError, match=r"^twist 0: unknown curve label \['c1'\]"):
         Factorization(2, (Curve(["c1"]),))

@@ -8,7 +8,7 @@ import pytest
 
 import lefschetz
 from lefschetz.catalog import get_factorization
-from lefschetz.intlinalg import identity_matrix, is_identity_matrix
+from lefschetz.intlinalg import identity_matrix
 from lefschetz.monodromy import curve_class
 from lefschetz.surface import algebraic_intersection, label_classes
 from lefschetz.symplectic import (
@@ -22,8 +22,8 @@ from lefschetz.symplectic import (
     transvection,
 )
 from reference import (
-    acts_transitively_mod_p, is_symplectic, mat_mul, mat_vec, pairing_matrix,
-    transpose,
+    acts_transitively_mod_p, is_symplectic, is_transvection_mod_p, mat_mul,
+    mat_vec, pairing_matrix, transpose,
 )
 
 
@@ -100,7 +100,7 @@ def test_transvection_is_symplectic():
 
 
 def test_transvection_of_null_class_is_identity():
-    assert is_identity_matrix(transvection((0, 0, 0, 0)))
+    assert transvection((0, 0, 0, 0)) == identity_matrix(4)
 
 
 def test_transvection_moves_transverse_class_by_pairing():
@@ -195,7 +195,7 @@ def test_catalog_closure_orders_survive_a_change_of_basis():
     # A symplectic m has inverse J^-1 m^T J = -J m^T J.
     m_inv = tuple(tuple(-x for x in row)
                   for row in mat_mul(mat_mul(j, transpose(m)), j))
-    assert is_identity_matrix(mat_mul(m, m_inv))
+    assert mat_mul(m, m_inv) == identity_matrix(4)
     for name, orders in sorted(CATALOG_ORDERS.items()):
         gens = [mat_mul(mat_mul(m_inv, transvection(c)), m)
                 for c in get_factorization(name).classes]
@@ -253,6 +253,34 @@ def test_closure_refuses_a_product_of_two_twists(pair):
     for p in (2, 5):
         with pytest.raises(ValueError, match=f"not a transvection mod {p}"):
             mod_p_closure([transvection(s["c3"]), product], p)
+
+
+def test_transvection_check_agrees_with_the_rank_of_g_minus_identity():
+    # The package counts the p^3 vectors that g fixes; the reference
+    # tests rank(g - I) = 1 by its 2x2 minors.  Products of transvections
+    # along a few short vectors are symplectic, and parallel or repeated
+    # factors keep some of them transvections.
+    rng = random.Random(20261020)
+    pool = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(6)]
+    pool += list(label_classes(2).values())
+    for p in (2, 3, 5):
+        verdicts = set()
+        for _ in range(150):
+            m = identity_matrix(4)
+            for _ in range(rng.choice((1, 2, 2, 3, 8))):
+                m = mat_mul(m, transvection(rng.choice(pool)))
+            g = tuple(tuple(x % p for x in row) for row in m)
+            if g == identity_matrix(4):
+                continue
+            try:
+                _transvection_permutation(g, p)
+                accepted = True
+            except ValueError as e:
+                assert str(e) == f"generator {g} is not a transvection mod {p}"
+                accepted = False
+            assert accepted == is_transvection_mod_p(g, p), (g, p)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}, p
 
 
 def test_vector_permutation_matches_per_vector_reference():
@@ -365,7 +393,7 @@ def test_refused_generators_raise_every_time_and_stay_out_of_the_memo():
     floats = [tuple(tuple(float(x) for x in row) for row in valid[0])]
     with pytest.raises(TypeError, match="integer matrices"):
         mod_p_closure(floats, 2)
-    with pytest.raises(TypeError, match="integer matrices"):
+    with pytest.raises(ValueError, match="limited to 2, 3, and 5"):
         mod_p_closure(valid, 2.0)
 
 
