@@ -47,6 +47,13 @@ class NSReport(NamedTuple):
         return self.mod10_ok and self.weight_ok and self.sharp_ok
 
 
+def _counts(**counts) -> None:
+    """Refuse a count that is not an int; booleans are refused too."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def admissible(n: int, s: int) -> NSReport:
     """Evaluate the three lattice constraints at (n, s).
 
@@ -61,6 +68,7 @@ def admissible(n: int, s: int) -> NSReport:
     on the line n + 2s = 10 (where b2+ >= 1 pins it); elsewhere the
     constraints leave b1 open.
     """
+    _counts(n=n, s=s)
     if n < 0 or s < 0:
         raise ValueError("cycle counts must be nonnegative")
     if n == 0 and s == 0:
@@ -84,6 +92,7 @@ def signature(n: int, s: int) -> int:
     """Signature -(3n + s)/5 of a genus-2 fibration of type (n, s): every
     genus-2 fibration is hyperelliptic (Endo, Math. Ann. 316, 2000).
     Non-divisibility by 5 means no such fibration exists."""
+    _counts(n=n, s=s)
     total = 3 * n + s
     if total % 5 != 0:
         raise ValueError(
@@ -97,6 +106,7 @@ def b2plus(n: int, s: int, b1: int) -> int:
     """b2+ = (b2 + sigma)/2 = (n + 2s)/5 + b1 - 3 of a genus-2 fibration
     of type (n, s) over the sphere with first Betti number b1, where
     b2 = n + s - 6 + 2 b1; 5 | n + 2s exactly where 5 | 3n + s."""
+    _counts(n=n, s=s, b1=b1)
     return (n + s - 6 + 2 * b1 + signature(n, s)) // 2
 
 
@@ -205,6 +215,7 @@ def indecomposability_check(n: int, s: int) -> IndecomposabilityReport:
 
 def enumerate_types(n_max: int, s_max: int) -> list[NSReport]:
     """All admissible lattice points in the window, with known status."""
+    _counts(n_max=n_max, s_max=s_max)
     if n_max > 100 or s_max > 100:
         raise ValueError("window bounds above 100 are not supported")
     if n_max < 0 or s_max < 0:

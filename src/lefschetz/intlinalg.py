@@ -20,7 +20,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mod(a: Sequence[Sequence[int]], p: int) -> Matrix:
-    return tuple(tuple(x % p for x in row) for row in a)
+    return tuple([tuple([x % p for x in row]) for row in a])
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:

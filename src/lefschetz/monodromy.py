@@ -29,7 +29,7 @@ from . import freegroup
 from . import symplectic
 from .freegroup import Endo, Word
 from .intlinalg import identity_matrix
-from .surface import algebraic_intersection, label_classes
+from .surface import algebraic_intersection, label_classes, label_covectors
 
 Token = tuple[str, int]
 
@@ -172,15 +172,17 @@ class Factorization:
 
 def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
     """Homology class of a conjugated standard curve: the base class pushed
-    through the conjugator's signed transvections, innermost token first."""
-    if not isinstance(curve, Curve):
+    through the conjugator's signed transvections, innermost token first;
+    a curve that ``Factorization`` refuses raises its ``ValueError``."""
+    if not isinstance(curve, Curve) or type(curve.conj) is not tuple:
         raise ValueError(_curve_problem(curve, genus))
-    classes = label_classes(genus)
-    steps = ((classes[label], sign) for label, sign in reversed(curve.conj))
+    steps = label_covectors(genus)
     try:
-        return symplectic.push_class(classes[curve.base], steps)
-    except KeyError:
+        base = label_classes(genus)[curve.base]
+        path = [steps[token] for token in reversed(curve.conj)]
+    except (KeyError, TypeError):
         raise ValueError(_curve_problem(curve, genus)) from None
+    return symplectic.push_class(base, path)
 
 
 # Images may grow geometrically with the token word, so the fold stops

@@ -6,9 +6,11 @@ module does not import it.
 
 Homology coordinates are taken in the ordered basis
 ``a1, b1, a2, b2, ..., ag, bg`` with intersection pairing
-``<a_i, b_i> = -1`` (block diagonal form); ``algebraic_intersection``
-is its one definition, and every homology action in the package is
-built from it (see :mod:`lefschetz.symplectic`).  The chain curves are
+``<a_i, b_i> = -1`` (block diagonal form).  ``covector`` is its one
+definition: ``<x, v>`` is the dot product of x with ``covector(v)``, as
+in ``algebraic_intersection``, and every homology action in the package
+is built from covectors (see :mod:`lefschetz.symplectic`), the labeled
+curves' from ``label_covectors``.  The chain curves are
 labeled ``c1 .. c{2g+1}``; odd ones carry class ``a_{i-1} + a_i`` (ends
 of the chain degenerate to a single ``a``), even ones carry ``b_i``.
 The curve ``s_h`` separates the first h handles from the rest and is
@@ -19,18 +21,27 @@ labels out, in the order ``c1 .. c{2g+1}, s1 .. s{g-1}``.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul, neg
 from types import MappingProxyType
+
+_LENGTHS = "need two vectors of equal even length"
+
+
+def covector(v) -> tuple[int, ...]:
+    """The coefficients w with <x, v> = sum x_i w_i for every x:
+    w = (-v1, v0, -v3, v2, ...)."""
+    if len(v) % 2:
+        raise ValueError(_LENGTHS)
+    w = list(v)
+    w[::2], w[1::2] = map(neg, v[1::2]), v[::2]
+    return tuple(w)
 
 
 def algebraic_intersection(u, v) -> int:
     """Value of the intersection pairing on two homology vectors."""
-    if len(u) != len(v) or len(u) % 2:
-        raise ValueError("need two vectors of equal even length")
-    total = 0
-    for h in range(len(u) // 2):
-        a, b = 2 * h, 2 * h + 1
-        total += u[b] * v[a] - u[a] * v[b]
-    return total
+    if len(u) != len(v):
+        raise ValueError(_LENGTHS)
+    return sum(map(mul, u, covector(v)))
 
 
 @lru_cache(maxsize=None)
@@ -55,3 +66,12 @@ def label_classes(genus: int) -> MappingProxyType[str, tuple[int, ...]]:
     for h in range(1, genus):
         classes[f"s{h}"] = (0,) * rank
     return MappingProxyType(classes)
+
+
+@lru_cache(maxsize=None)
+def label_covectors(genus: int) -> MappingProxyType:
+    """Read-only map from each valid twist token ``(label, sign)`` at
+    genus g to its ``symplectic.push_class`` step (c, sign covector(c))."""
+    return MappingProxyType({
+        (label, sign): (c, tuple(sign * x for x in covector(c)))
+        for label, c in label_classes(genus).items() for sign in (1, -1)})

@@ -3,10 +3,10 @@ exact products over the integers, and the orders of the groups that
 transvections generate modulo a prime.
 
 A twist about a curve of class c acts on first homology by the
-transvection  x -> x + <x, c> c.  ``push_class`` applies signed
-transvections to a class with ``surface.algebraic_intersection``, and
-every homology action is built from it: column k of a product's matrix
-is e_k pushed through its classes, and m is symplectic when its columns
+transvection  x -> x + (x . w) c,  with w the covector of c: the
+rank-one update I + c w^T.  ``push_class`` applies such steps to a
+class, and products are built from it: column k of a product's matrix
+is e_k pushed through its classes.  m is symplectic when its columns
 pair like the basis, <m e_i, m e_j> = <e_i, e_j>, that is m^T J m = J.
 Everything here works for arbitrary genus except ``mod_p_closure``:
 genus 2, p in {2, 3, 5}, and generators that are symplectic
@@ -31,26 +31,35 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from operator import getitem, mul
 from typing import NamedTuple
 
 from . import intlinalg
 from .intlinalg import Matrix, identity_matrix
-from .surface import algebraic_intersection
+from .surface import _LENGTHS, algebraic_intersection, covector
 
 
 def push_class(x: tuple[int, ...], steps: Iterable) -> tuple[int, ...]:
     """Image of the class x under the signed transvections
-    x -> x + sign <x, c> c  of the ``(c, sign)`` steps, first step first."""
-    for c, sign in steps:
-        t = sign * algebraic_intersection(x, c)
+    x -> x + (x . w) c  of the ``(c, w)`` steps, first step first, where
+    w is sign * covector(c), so that x . w = sign <x, c>."""
+    for c, w in steps:
+        t = sum(map(mul, x, w))
         if t:
-            x = tuple(xi + t * ci for xi, ci in zip(x, c))
+            x = tuple([xi + t * ci for xi, ci in zip(x, c)])
     return x
 
 
 def transvection(c: Sequence[int]) -> Matrix:
-    """Matrix of the transvection  x -> x + <x, c> c  along c."""
-    return evaluate_classes((c,), len(c))
+    """Matrix of the transvection  x -> x + <x, c> c  along c: the
+    rank-one update I + c w^T, with w the covector of c."""
+    w = covector(c)
+    rows = []
+    for i, ci in enumerate(c):
+        row = [ci * wk for wk in w]
+        row[i] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _column_pairings(m: Sequence[Sequence[int]]) -> Matrix:
@@ -70,7 +79,9 @@ def evaluate_classes(classes: Sequence[Sequence[int]], rank: int) -> Matrix:
     """Composite transvection for a list of twist classes applied in
     order: the first class acts first.  Column k is e_k pushed through
     the classes."""
-    steps = [(c, 1) for c in classes]
+    if any(len(c) != rank for c in classes):  # covector refuses odd ranks
+        raise ValueError(_LENGTHS)
+    steps = [(c, covector(c)) for c in classes]
     return tuple(zip(*(push_class(e, steps) for e in identity_matrix(rank))))
 
 
@@ -118,36 +129,30 @@ def _vector_permutation(m: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
 
 
 def _orbit(start, perms: Sequence[tuple[int, ...]], act: Callable) -> int:
-    """Length of the orbit of ``start`` under ``perms``, walked
-    breadth-first; ``act(point, perm)`` is the image of a point."""
+    """Length of the orbit of ``start`` under ``perms``, walked breadth-first;
+    ``act(perm, point)`` is a point's image (getitem acts on vector codes)."""
     seen = {start}
     queue = [start]
     for point in queue:
         for g in perms:
-            image = act(point, g)
+            image = act(g, point)
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
     return len(seen)
 
 
-def _distinct_generators(generators: Sequence, p: int) -> list[Matrix]:
-    """The generators distinct and nontrivial mod p, after checking that
-    there is one, p is 2, 3 or 5, and each is a 4x4 integer matrix."""
+def _exact_generators(generators: Sequence, p: int) -> list[Matrix]:
+    """The generators, distinct as exact matrices, after checking that
+    there is one, p is 2, 3 or 5, and each is a 4x4 matrix."""
     if not generators:
         raise ValueError("need at least one generator")
     if type(p) is not int or p not in (2, 3, 5):
         raise ValueError("closure primes are limited to 2, 3, and 5")
-    if any(len(g) != 4 or any(len(r) != 4 for r in g) for g in generators):
-        raise ValueError("closures are supported for genus 2 only")
-    exact = dict.fromkeys(tuple(map(tuple, g)) for g in generators)
-    distinct = dict.fromkeys(intlinalg.mat_mod(g, p) for g in exact)
-    distinct.pop(_IDENTITY, None)
-    # Only integer matrices may reach the memo: a float matrix hashes
-    # like the integer one it equals.
-    if any(type(x) is not int for g in distinct for row in g for x in row):
-        raise TypeError("generators must be integer matrices")
-    return list(distinct)
+    for g in generators:
+        if len(g) != 4 or any(len(r) != 4 for r in g):
+            raise ValueError("closures are supported for genus 2 only")
+    return list(dict.fromkeys(tuple(map(tuple, g)) for g in generators))
 
 
 @lru_cache(maxsize=None)
@@ -174,25 +179,25 @@ def mod_p_closure(
     """Order of the subgroup G of Sp(4, Z/p) generated by the given
     integer matrices, each a symplectic transvection mod p, or
     ``ValueError`` is raised (``TypeError`` for entries that are not
-    integers).
-
-    Each generator that is distinct and nontrivial mod p becomes a
-    permutation of the vector codes of (Z/p)^4, once per process for
-    each such reduction; it is a transvection when it fixes exactly p^3
-    codes.  G is full exactly when the orbit of e4 (code 1) covers all
-    p^4 - 1 nonzero vectors: if it does, G holds the transvection along
-    every nonzero vector, as the conjugate of a generator's.  Otherwise
-    G is proper, and its order is the number of frames reached from the
-    basis frame (e1, e2, e3, e4), on which G acts freely: at most 60,000
-    at p = 5.
+    integers).  Each generator distinct and nontrivial mod p becomes its
+    memoized permutation of the vector codes of (Z/p)^4.  G is full
+    exactly when the orbit of e4 (code 1) covers all p^4 - 1 nonzero
+    vectors; otherwise |G| is the length of the orbit of the basis
+    frame (e1, e2, e3, e4), at most 60,000 at p = 5.
     """
-    perms = [_transvection_permutation(g, p)
-             for g in _distinct_generators(generators, p)]
-    if _orbit(1, perms, lambda v, g: g[v]) == p**4 - 1:
+    distinct = dict.fromkeys(
+        intlinalg.mat_mod(g, p) for g in _exact_generators(generators, p))
+    distinct.pop(_IDENTITY, None)
+    # Only integer matrices may reach the memo: a float matrix hashes
+    # like the integer one it equals.
+    if not {type(x) for g in distinct for row in g for x in row} <= {int}:
+        raise TypeError("generators must be integer matrices")
+    perms = [_transvection_permutation(g, p) for g in distinct]
+    if _orbit(1, perms, getitem) == p**4 - 1:
         return ClosureReport(p, symplectic_group_order(2, p))
     frame = (p**3, p**2, p, 1)
     return ClosureReport(p, _orbit(
-        frame, perms, lambda f, g: (g[f[0]], g[f[1]], g[f[2]], g[f[3]])))
+        frame, perms, lambda g, f: (g[f[0]], g[f[1]], g[f[2]], g[f[3]])))
 
 
 class TransitivityCertificate(NamedTuple):
@@ -220,10 +225,12 @@ def transitivity_certificate(
     primes: Sequence[int],
 ) -> TransitivityCertificate:
     """Run the mod-p closure at each prime and bundle the reports; with
-    no prime there is nothing to certify, so ``ValueError`` is raised."""
+    no prime there is nothing to certify, so ``ValueError`` is raised.
+    The generators are checked and deduplicated once, at the first prime."""
     if not primes:
         raise ValueError("need at least one prime")
+    exact = _exact_generators(generators, primes[0])
     return TransitivityCertificate(
-        tuple(mod_p_closure(generators, p) for p in primes)
+        tuple(mod_p_closure(exact, p) for p in primes)
     )
 

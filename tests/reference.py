@@ -1,13 +1,16 @@
 """Plain matrix algebra that the tests compare the package against.
 
 The package itself never multiplies matrices or takes determinants: its
-homology actions are built from the intersection pairing (see
-``lefschetz.symplectic``).  These textbook formulas are the independent
-references: products, determinants, the pairing's matrix J, the
-symplectic condition m^T J m = J, the rank test for a transvection mod
-p, the orbit of e1 mod p, and invariant factors from the gcds of
-minors.  Three free-group references sit beside them: ``abelianize``, a
-word's exponent-sum vector (the H1 oracle for presentations);
+homology actions are built from the intersection pairing's covectors
+(see ``lefschetz.symplectic``).  These textbook formulas are the
+independent references: products, determinants, the pairing's matrix
+J, the symplectic condition m^T J m = J, the rank test for a
+transvection mod p, the orbit of e1 mod p, and invariant factors from
+the gcds of minors.  The kernel's earlier formulas are kept as its
+oracles: ``pairing``, a loop over handles; ``transvection``, each basis
+vector pushed along c; and ``curve_class``, the base class pushed token
+by token.  Three free-group references sit beside them: ``abelianize``,
+a word's exponent-sum vector (the H1 oracle for presentations);
 ``same_loop``, conjugacy up to inversion by comparing every rotation of
 the cyclic reductions; and ``S1_TWIST_IMAGES``, the s1 twist tables as
 conjugations of the first handle.
@@ -89,6 +92,37 @@ def pairing_matrix(genus: int) -> Matrix:
     for a in range(0, 2 * genus, 2):
         j[a][a + 1], j[a + 1][a] = -1, 1
     return tuple(tuple(row) for row in j)
+
+
+def pairing(u: Sequence[int], v: Sequence[int]) -> int:
+    """<u, v> handle by handle: the sum of u_b v_a - u_a v_b over the
+    coordinate pairs (a, b) = (2h, 2h + 1)."""
+    if len(u) != len(v) or len(u) % 2:
+        raise ValueError("need two vectors of equal even length")
+    return sum(u[a + 1] * v[a] - u[a] * v[a + 1] for a in range(0, len(u), 2))
+
+
+def push(x: Sequence[int], c: Sequence[int], sign: int = 1) -> tuple[int, ...]:
+    """x -> x + sign <x, c> c, with x unchanged when the pairing is 0."""
+    t = sign * pairing(x, c)
+    return tuple(x) if not t else tuple(xi + t * ci for xi, ci in zip(x, c))
+
+
+def transvection(c: Sequence[int]) -> Matrix:
+    """The transvection along c, column k being e_k pushed along c."""
+    n = len(c)
+    return transpose([push([int(i == k) for i in range(n)], c)
+                      for k in range(n)])
+
+
+def curve_class(base: str, conj, classes) -> tuple[int, ...]:
+    """The class of the curve ``base`` moved by the token word ``conj``
+    (outermost first), given each label's class: the base class pushed
+    through one signed transvection per token, innermost token first."""
+    x = tuple(classes[base])
+    for label, sign in reversed(conj):
+        x = push(x, classes[label], sign)
+    return x
 
 
 def is_symplectic(m: Sequence[Sequence[int]]) -> bool:

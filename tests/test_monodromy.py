@@ -413,3 +413,22 @@ def test_curve_class_and_word_refuse_a_cycle_that_is_not_a_curve():
             curve_class(cycle, 2)
         with pytest.raises(ValueError, match=message):
             curve_word(cycle)
+
+
+@pytest.mark.parametrize("curve", [
+    Curve("c2", (("c1", 2),)),     # a token that is not a twist
+    Curve("c2", (("c1", 1.5),)),   # a sign that would give float classes
+    Curve("c2", [("c1", 1)]),      # a list conjugator
+    Curve("c2", (("c1", 1, 0),)),  # a 3-tuple token
+    Curve("c2", (5,)),             # a token that is not a tuple
+    Curve("c2", (["c1", 1],)),     # an unhashable token
+    Curve("c2", (("c9", -1),)),    # a token naming no curve
+    Curve(["c2"]),                 # an unhashable base label
+    "c2",                          # not a curve
+])
+def test_curve_class_refuses_what_factorization_refuses(curve):
+    with pytest.raises(ValueError) as refused:
+        Factorization(2, (curve,))
+    message = str(refused.value).removeprefix("twist 0: ")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        curve_class(curve, 2)

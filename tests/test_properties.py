@@ -53,8 +53,14 @@ from lefschetz.monodromy import (
     rotate,
     twist_tokens,
 )
-from lefschetz.surface import label_classes
-from lefschetz.symplectic import evaluate_classes, mod_p_closure, transvection
+from lefschetz.surface import algebraic_intersection, covector, label_classes
+from lefschetz.symplectic import (
+    evaluate_classes,
+    mod_p_closure,
+    transitivity_certificate,
+    transvection,
+)
+import reference
 from reference import invariant_factors, mat_mul, mat_vec
 
 RANK = 4
@@ -169,8 +175,48 @@ def test_evaluate_classes_matches_matrix_fold(rank_classes):
     rank, classes = rank_classes
     total = identity_matrix(rank)
     for c in classes:
-        total = mat_mul(transvection(c), total)
+        total = mat_mul(reference.transvection(c), total)
     assert evaluate_classes(classes, rank) == total
+
+
+@given(rank_and_classes())
+def test_the_kernel_matches_the_loop_pairing_and_push_oracles(rank_classes):
+    # covector(v)_k = <e_k, v>; the pairing and the transvection are built
+    # from it and must agree with the formulas they replaced, at genus 1
+    # to 4 (products are checked against the same oracle above).
+    rank, classes = rank_classes
+    basis = identity_matrix(rank)
+    for v in classes:
+        assert covector(v) == tuple(reference.pairing(e, v) for e in basis)
+        for u in classes:
+            assert algebraic_intersection(u, v) == reference.pairing(u, v)
+        assert transvection(v) == reference.transvection(v)
+
+
+@given(genus_and_curve())
+def test_curve_class_matches_the_token_by_token_oracle(genus_curve):
+    genus, curve = genus_curve
+    assert curve_class(curve, genus) == reference.curve_class(
+        curve.base, curve.conj, label_classes(genus))
+
+
+# Genus-2 transvections, some repeated as nested lists, plus the
+# identity of a null class: repeats must not change a closure.
+_CERTIFICATE_POOL = (
+    [transvection(c) for c in label_classes(2).values()]
+    + [transvection(v) for v in ((1, 1, 0, 0), (0, 1, 1, 0), (1, 2, -1, 3))]
+    + [[list(row) for row in transvection(label_classes(2)["c3"])]]
+)
+
+
+@given(st.lists(st.sampled_from(_CERTIFICATE_POOL), min_size=1, max_size=12),
+       st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3))
+def test_certificate_is_the_per_prime_closures(generators, primes):
+    # The certificate checks and deduplicates the generators once; each
+    # entry must still be the closure of the full list at its prime.
+    certificate = transitivity_certificate(generators, tuple(primes))
+    assert certificate.entries == tuple(
+        mod_p_closure(generators, p) for p in primes)
 
 
 def plain_compose(outer, inner):

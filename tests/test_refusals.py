@@ -7,7 +7,13 @@ import pytest
 
 from lefschetz import freegroup as fg
 from lefschetz.catalog import get_factorization
-from lefschetz.feasibility import admissible, indecomposability_check
+from lefschetz.feasibility import (
+    admissible,
+    b2plus,
+    enumerate_types,
+    indecomposability_check,
+    signature,
+)
 from lefschetz.intlinalg import smith_normal_form
 from lefschetz.invariants import (
     basis_pair_search,
@@ -23,6 +29,7 @@ from lefschetz.monodromy import (
     rotate,
 )
 from lefschetz.surface import label_classes
+from lefschetz.symplectic import evaluate_classes, transvection
 
 _G1 = Factorization(1, (Curve("c1"), Curve("c2")))
 _G2 = Factorization(2, (Curve("c1"), Curve("c2")))
@@ -50,6 +57,21 @@ REFUSALS = [
     (lambda: fiber_sum(_OVER_TORUS, _G2),
      "fiber sum is defined over base genus 0"),
     (lambda: label_classes(101), "genus above 100 is not supported"),
+    # each class's length is checked once, against the rank
+    (lambda: evaluate_classes([(1, 0)], 4),
+     "need two vectors of equal even length"),
+    (lambda: evaluate_classes([(1, 0, 0, 0, 0, 0)], 4),
+     "need two vectors of equal even length"),
+    (lambda: transvection((1, 2, 3)), "need two vectors of equal even length"),
+    # counts are integers: a float or a boolean is named, not computed with
+    (lambda: admissible(4.0, 3), "n must be an integer, got 4.0"),
+    (lambda: admissible(4, True), "s must be an integer, got True"),
+    (lambda: b2plus(4.0, 3, 0), "n must be an integer, got 4.0"),
+    (lambda: b2plus(4, 3, 0.0), "b1 must be an integer, got 0.0"),
+    (lambda: signature(4, 3.0), "s must be an integer, got 3.0"),
+    (lambda: indecomposability_check(6.0, 2), "n must be an integer, got 6.0"),
+    (lambda: enumerate_types(2.5, 3), "n_max must be an integer, got 2.5"),
+    (lambda: enumerate_types(3, 3.0), "s_max must be an integer, got 3.0"),
 ]
 
 

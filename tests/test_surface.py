@@ -7,7 +7,12 @@ import pytest
 
 import lefschetz
 from lefschetz.monodromy import Curve, Factorization
-from lefschetz.surface import algebraic_intersection, label_classes
+from lefschetz.surface import (
+    algebraic_intersection,
+    covector,
+    label_classes,
+    label_covectors,
+)
 
 SRC = Path(lefschetz.__file__).resolve().parent
 
@@ -91,6 +96,27 @@ def test_the_shared_class_table_cannot_be_changed():
     assert label_classes(2) is table and "c9" not in table
     with pytest.raises(ValueError, match="unknown curve label 'c9'"):
         Factorization(2, (Curve("c9"),))
+
+
+def test_covector_is_the_pairing_against_a_class():
+    assert covector((1, 2, 3, 4)) == (-2, 1, -4, 3)
+    assert covector(()) == ()
+    with pytest.raises(ValueError, match="need two vectors of equal even"):
+        covector((1, 2, 3))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_label_covectors_are_the_signed_steps_of_every_token(genus):
+    classes = label_classes(genus)
+    steps = label_covectors(genus)
+    assert set(steps) == {(label, sign) for label in classes
+                          for sign in (1, -1)}
+    for (label, sign), (c, w) in steps.items():
+        assert c == classes[label]
+        assert w == tuple(sign * x for x in covector(c))
+    assert label_covectors(genus) is steps
+    with pytest.raises(TypeError):
+        steps["c1", 2] = steps["c1", 1]
 
 
 def _package_modules_loaded_by(module: str) -> set[str]:

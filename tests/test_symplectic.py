@@ -424,3 +424,47 @@ def test_importing_the_cli_fills_no_memo():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0"]
+
+
+# Each generator list's refusal at each prime tuple, pinned: the
+# certificate checks and deduplicates its generators once, and the
+# first prime's checks must still run in the closure's order.
+_REFUSED_GENERATORS = {
+    "none": [],
+    "an int": [5],
+    "one row": [[1, 2, 3, 4]],
+    "2x2": [[[1, 1], [0, 1]]],
+    "floats": [[[float(x) for x in row]
+                for row in transvection((1, 1, 0, 0))]],
+    "not symplectic": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                        [1, 0, 0, 1]]],
+    "not a transvection": [mat_mul(transvection((1, 0, 0, 0)),
+                                   transvection((0, 1, 0, 0)))],
+}
+_PRIME_ERROR = (ValueError, "closure primes are limited to 2, 3, and 5")
+_AT_TWO_THREE = {
+    "none": (ValueError, "need at least one generator"),
+    "an int": (TypeError, "object of type 'int' has no len()"),
+    "one row": (TypeError, "object of type 'int' has no len()"),
+    "2x2": (ValueError, "closures are supported for genus 2 only"),
+    "floats": (TypeError, "generators must be integer matrices"),
+    "not symplectic": (ValueError, "generator ((1, 0, 0, 0), (0, 1, 0, 0), "
+                       "(0, 0, 1, 0), (1, 0, 0, 1)) is not symplectic mod 2"),
+    "not a transvection": (ValueError, "generator ((0, 1, 0, 0), "
+                           "(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)) is not "
+                           "a transvection mod 2"),
+}
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (7,), ()])
+@pytest.mark.parametrize("name", list(_REFUSED_GENERATORS))
+def test_certificate_refusals_are_pinned(name, primes):
+    if not primes:
+        error, message = ValueError, "need at least one prime"
+    elif primes == (7,) and name != "none":
+        error, message = _PRIME_ERROR
+    else:
+        error, message = _AT_TWO_THREE[name]
+    with pytest.raises(error) as refused:
+        transitivity_certificate(_REFUSED_GENERATORS[name], primes)
+    assert type(refused.value) is error and str(refused.value) == message
