@@ -240,6 +240,7 @@ def emit_chart(reports: Iterable[NSReport], n_max: int, s_max: int,
     lines 2n - s = 3 and 5 where they meet it, filled markers for known
     types and open markers for admissible types without a monodromy.
     """
+    _counts(n_max=n_max, s_max=s_max)
     reports = sorted(reports, key=lambda r: (r.n, r.s))
     if format == "csv":
         return _emit_csv(reports)

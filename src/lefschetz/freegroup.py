@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import reduce
-from operator import neg
+from operator import eq, neg
 
 Word = tuple[int, ...]
 Endo = tuple[Word, ...]
@@ -53,20 +53,21 @@ def concat(*words: Sequence[int]) -> Word:
     return free_reduce(glued)
 
 
+def glue(u: Word, v: Word) -> Word:
+    """The reduced product of two reduced words, the one way to join
+    them: only their junction cancels, and when nothing does the two
+    tuples are simply added."""
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    k, m = 1, min(len(u), len(v))
+    while k < m and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:-k] + v[k:]
+
+
 def conjugate(word: Sequence[int], by: Sequence[int]) -> Word:
     """Return ``by . word . by^-1``."""
     return concat(by, word, inverse(by))
-
-
-def cyclic_split(word: Sequence[int]) -> tuple[Word, Word]:
-    """Split ``word`` as ``prefix . core . prefix^-1`` with ``core``
-    cyclically reduced.  Returns ``(core, prefix)``."""
-    w = free_reduce(word)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return w[i:j], w[:i]
 
 
 def boundary_word(genus: int) -> Word:
@@ -113,22 +114,28 @@ def compose(outer: Endo, inner: Endo) -> Endo:
 def is_inner(images: Endo) -> Word | None:
     """If the automorphism is conjugation ``x -> w x w^-1``, return ``w``.
 
-    The image of a1 must be ``prefix . a1 . prefix^-1``, so ``w`` is
-    ``prefix . a1^k`` and ``prefix^-1 . image(b1) . prefix`` reduces to
-    ``a1^k b1 a1^-k``, whose length and first letter give k.  One check of
-    every image then decides, in time linear in the total image length.
-    The witness is unique: a free group of rank >= 2 has trivial centre.
+    The image of a1 must read ``prefix . a1 . prefix^-1`` as a reduced
+    word, so ``w`` is ``prefix . a1^k`` and ``prefix^-1 . image(b1) .
+    prefix`` reduces to ``a1^k b1 a1^-k``, whose length and first letter
+    give k.  Each candidate conjugate is glued at its two junctions and
+    compared with its image, in time linear in the total image length; an
+    image that is not a reduced word never matches.  The witness is
+    unique: a free group of rank >= 2 has trivial centre.
     """
-    core, prefix = cyclic_split(images[0])
-    if core != (1,):
+    first = images[0]
+    m = len(first) // 2
+    prefix = first[:m]
+    back = inverse(prefix)
+    if first[m:] != (1, *back) or any(map(eq, first[1:], map(neg, first))):
         return None
     k = 0
     if len(images) > 1:
-        u = concat(inverse(prefix), images[1], prefix)
+        u = glue(glue(back, images[1]), prefix)
         k = -(len(u) // 2) if u and u[0] == -1 else len(u) // 2
-    w = concat(prefix, (1,) * k if k >= 0 else (-1,) * -k)
+    w = glue(prefix, (1,) * k if k >= 0 else (-1,) * -k)
     wi = inverse(w)
-    if all(concat(w, (g,), wi) == im for g, im in enumerate(images, 1)):
+    if all(glue(glue(w, (g,)), wi) == im
+           for g, im in enumerate(images[1:], 2)):
         return w
     return None
 

@@ -12,8 +12,9 @@ conjugator [t1, t2] is the image of its base curve under the composite
 twist(t1) o twist(t2).  Global conjugation therefore prefixes tokens.
 A twist is the token word ``conj . base . conj^-1``, so the exact composite
 of a factorization is one token word, reduced as it is written and then
-folded on the free group modulo inner automorphisms: each twist acts as
-its shorter table psi, and its inner part rides along as one extra word.
+folded on the free group modulo inner automorphisms: each twist runs a
+short program that glues the images it changes from the subwords it
+spells more than once, and c3's inner part rides along as one extra word.
 
 ``Factorization.classes`` holds the homology classes of the vanishing
 cycles, computed once per factorization; the homology image, the (n, s)
@@ -190,29 +191,35 @@ def curve_class(curve: Curve, genus: int) -> tuple[int, ...]:
 IMAGE_LETTER_BOUND = 1_000_000
 
 
-# Each genus-2 twist table T splits as x -> g . psi(x) . g^-1 with psi
-# shorter than T; only c3 has an inner part g, and its psi passes a1 and
-# a2 through.
-TWIST_INNER_PARTS: dict[Token, Word] = {
-    ("c3", 1): (-3, -1),
-    ("c3", -1): (1, 3),
-}
-
-
-def _fold_table(token: Token) -> Endo:
-    g = TWIST_INNER_PARTS.get(token, ())
-    gi = freegroup.inverse(g)
-    psi = (freegroup.conjugate(im, gi) for im in freegroup.TWIST_IMAGES[token])
-    return (*psi, (5,) + g)
-
-
-# A twist's fold table sends a1..a4 to psi(a1)..psi(a4) and a fifth
-# generator to a5 . g.  The fold holds Psi and W, the action being
-# x -> W . Psi(x) . W^-1, with W as the image of a5; since
-# Psi o Inn(g) = Inn(Psi(g)) o Psi, composing with the next table yields
-# Psi o psi and, as the fifth image, W . Psi(g).
-FOLD_TABLES: dict[Token, Endo] = {
-    token: _fold_table(token) for token in freegroup.TWIST_IMAGES
+# The fold keeps nine registers: the images Psi(a1), Psi(b1), Psi(a2),
+# Psi(b2) in 0-3, W in 4 and scratch words in 5-8; the word read so far
+# acts as x -> W . Psi(x) . W^-1.  A twist x -> g . psi(x) . g^-1 turns
+# them into Psi o psi and W . Psi(g), since Psi o Inn(g) = Inn(Psi(g)) o
+# Psi, through its program: an op (t, i, j) sets r[t] = glue(r[i], r[j])
+# and an op (t, i) sets r[t] = r[i]^-1.  Only c3 has an inner part g; s1
+# conjugates the first handle by [b1, a1]^+-1 (see TWO_CHAIN).  Every
+# program reads an image register before it writes it.
+FOLD_PROGRAMS: dict[Token, tuple[tuple[int, ...], ...]] = {
+    ("c1", 1): ((1, 1, 0),),  # b1 -> b1 a1
+    ("c1", -1): ((5, 0), (1, 1, 5)),  # b1 -> b1 a1^-1
+    ("c2", 1): ((5, 1), (0, 0, 5)),  # a1 -> a1 b1^-1
+    ("c2", -1): ((0, 0, 1),),  # a1 -> a1 b1
+    # u = a1 a2, v = a2 a1: b1 -> v b1, b2 -> u b2, W -> W u^-1
+    ("c3", 1): ((5, 0, 2), (6, 2, 0), (1, 6, 1), (3, 5, 3), (7, 5),
+                (4, 4, 7)),
+    # u = a1 a2, v = a2 a1: b1 -> v^-1 b1, b2 -> u^-1 b2, W -> W u
+    ("c3", -1): ((5, 0, 2), (6, 2, 0), (7, 6), (1, 7, 1), (8, 5),
+                 (3, 8, 3), (4, 4, 5)),
+    ("c4", 1): ((5, 3), (2, 2, 5)),  # a2 -> a2 b2^-1
+    ("c4", -1): ((2, 2, 3),),  # a2 -> a2 b2
+    ("c5", 1): ((3, 3, 2),),  # b2 -> b2 a2
+    ("c5", -1): ((5, 2), (3, 3, 5)),  # b2 -> b2 a2^-1
+    # e = b1 a1 b1^-1 a1^-1: a1 -> e a1 e^-1, b1 -> e b1 e^-1
+    ("s1", 1): ((5, 1, 0), (6, 0, 1), (7, 6), (5, 5, 7), (6, 5), (7, 5, 0),
+                (0, 7, 6), (7, 5, 1), (1, 7, 6)),
+    # e = a1 b1 a1^-1 b1^-1: a1 -> e a1 e^-1, b1 -> e b1 e^-1
+    ("s1", -1): ((5, 0, 1), (6, 1, 0), (7, 6), (5, 5, 7), (6, 5), (7, 5, 0),
+                 (0, 7, 6), (7, 5, 1), (1, 7, 6)),
 }
 
 
@@ -227,18 +234,25 @@ def _check_bound(images: Endo) -> None:
 def _fold(tokens: Iterable[Token]) -> Endo:
     """Fold an outermost-first token word modulo inner automorphisms into
     ``Psi`` (images 1-4) and ``W`` (the fifth); the word acts as
-    ``x -> W . Psi(x) . W^-1``.  Raises ValueError once the five words
-    hold more than IMAGE_LETTER_BOUND letters in all."""
-    acc = ((1,), (2,), (3,), (4,), ())
+    ``x -> W . Psi(x) . W^-1``.  Each token runs its program from
+    FOLD_PROGRAMS, so the subwords a table spells twice are built once.
+    Raises ValueError once the five words hold more than
+    IMAGE_LETTER_BOUND letters in all."""
+    glue, inverse = freegroup.glue, freegroup.inverse
+    r = [(1,), (2,), (3,), (4,), (), (), (), (), ()]
     for label, sign in tokens:
         try:
-            table = FOLD_TABLES[label, sign]
+            program = FOLD_PROGRAMS[label, sign]
         except KeyError:
             raise ValueError(
                 f"no genus-2 twist table for {label!r} sign {sign}") from None
-        acc = freegroup.compose(acc, table)
-        _check_bound(acc)
-    return acc
+        for op in program:
+            if len(op) == 3:
+                r[op[0]] = glue(r[op[1]], r[op[2]])
+            else:
+                r[op[0]] = inverse(r[op[1]])
+        _check_bound(r[:5])
+    return tuple(r[:5])
 
 
 def conjugator_endo(tokens: Iterable[Token]) -> Endo:
@@ -250,7 +264,7 @@ def conjugator_endo(tokens: Iterable[Token]) -> Endo:
     wi = freegroup.inverse(w)
     images: list[Word] = []
     for im in psi:
-        images.append(freegroup.concat(w, im, wi))
+        images.append(freegroup.glue(freegroup.glue(w, im), wi))
         _check_bound(images)
     return tuple(images)
 
@@ -338,7 +352,7 @@ def identity_check(f: Factorization, level: str = "homology") -> IdentityReport:
         acc = _fold(tokens[i:j])
         conj = freegroup.is_inner(acc[:4])
         if conj is not None:
-            conj = freegroup.concat(acc[4], conj)
+            conj = freegroup.glue(acc[4], conj)
         return IdentityReport(level, conj is not None, conjugator=conj)
     raise ValueError(f"unknown identity level {level!r}")
 

@@ -13,12 +13,18 @@ by token.  Three free-group references sit beside them: ``abelianize``,
 a word's exponent-sum vector (the H1 oracle for presentations);
 ``same_loop``, conjugacy up to inversion by comparing every rotation of
 the cyclic reductions; and ``S1_TWIST_IMAGES``, the s1 twist tables as
-conjugations of the first handle.
+conjugations of the first handle.  The exact engine's earlier path is
+kept as its oracle: ``FOLD_TABLES``, each twist table split into an inner
+part and a shorter table; ``fold``, which composes them whole; ``run``,
+which runs one fold program with full free reduction; and ``is_inner``
+with ``cyclic_split``, which re-reduce whole words.
 """
 
 from collections.abc import Sequence
 from itertools import combinations
 from math import gcd
+
+from lefschetz import freegroup as fg
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -214,3 +220,80 @@ S1_TWIST_IMAGES = {
     sign: (_free_reduce(d + (1,) + di), _free_reduce(d + (2,) + di), (3,), (4,))
     for sign, d, di in ((1, _D, _DI), (-1, _DI, _D))
 }
+
+
+def cyclic_split(word: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split ``word`` as ``prefix . core . prefix^-1`` with ``core``
+    cyclically reduced.  Returns ``(core, prefix)``."""
+    w = fg.free_reduce(word)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    return w[i:j], w[:i]
+
+
+def is_inner(images):
+    """The conjugator ``prefix . a1^k`` read off the cyclic split of the
+    a1 image and the b1 image conjugated back, checked on every image
+    with whole words reduced; None if the map is not inner."""
+    core, prefix = cyclic_split(images[0])
+    if core != (1,):
+        return None
+    k = 0
+    if len(images) > 1:
+        u = fg.concat(fg.inverse(prefix), images[1], prefix)
+        k = -(len(u) // 2) if u and u[0] == -1 else len(u) // 2
+    w = fg.concat(prefix, (1,) * k if k >= 0 else (-1,) * -k)
+    wi = fg.inverse(w)
+    if all(fg.concat(w, (g,), wi) == im for g, im in enumerate(images, 1)):
+        return w
+    return None
+
+
+# Each genus-2 twist table T splits as x -> g . psi(x) . g^-1 with psi
+# shorter than T; only c3 has an inner part g, and its psi passes a1 and
+# a2 through.
+TWIST_INNER_PARTS = {
+    ("c3", 1): (-3, -1),
+    ("c3", -1): (1, 3),
+}
+
+
+def _fold_table(token):
+    g = TWIST_INNER_PARTS.get(token, ())
+    gi = fg.inverse(g)
+    psi = (fg.conjugate(im, gi) for im in fg.TWIST_IMAGES[token])
+    return (*psi, (5,) + g)
+
+
+# A twist's fold table sends a1..a4 to psi(a1)..psi(a4) and a fifth
+# generator to a5 . g, so composing the accumulated (Psi, W) with it
+# gives Psi o psi and, as the fifth image, W . Psi(g).
+FOLD_TABLES = {token: _fold_table(token) for token in fg.TWIST_IMAGES}
+
+
+def fold(tokens, bound):
+    """``monodromy._fold`` by composing whole tables, with ``bound`` as
+    the letter bound and the package's messages."""
+    acc = ((1,), (2,), (3,), (4,), ())
+    for label, sign in tokens:
+        try:
+            table = FOLD_TABLES[label, sign]
+        except KeyError:
+            raise ValueError(
+                f"no genus-2 twist table for {label!r} sign {sign}") from None
+        acc = fg.compose(acc, table)
+        if sum(map(len, acc)) > bound:
+            raise ValueError(
+                f"free-group images exceed the bound of {bound} letters")
+    return acc
+
+
+def run(program, acc):
+    """Run one fold program on the five words ``acc`` and return them;
+    every op reduces its whole result."""
+    r = list(acc) + [()] * 4
+    for t, i, *j in program:
+        r[t] = fg.concat(r[i], r[j[0]]) if j else fg.inverse(r[i])
+    return tuple(r[:5])

@@ -6,7 +6,6 @@ import pytest
 from lefschetz import freegroup as fg, monodromy
 from lefschetz.intlinalg import identity_matrix
 from lefschetz.monodromy import (
-    FOLD_TABLES,
     Curve,
     Factorization,
     LanternInstance,
@@ -32,6 +31,7 @@ from lefschetz.monodromy import (
 )
 from lefschetz import catalog
 from lefschetz.catalog import get_factorization
+import reference
 from reference import same_loop
 
 
@@ -296,8 +296,8 @@ def test_composite_endo_matches_twist_composition():
 
 @pytest.mark.parametrize("token", sorted(fg.TWIST_IMAGES))
 def test_fold_tables_split_each_twist_into_inner_part_and_psi(token):
-    g = monodromy.TWIST_INNER_PARTS.get(token, ())
-    *psi, fifth = FOLD_TABLES[token]
+    g = reference.TWIST_INNER_PARTS.get(token, ())
+    *psi, fifth = reference.FOLD_TABLES[token]
     assert fifth == (5,) + g
     # The tables are built as conjugates of TWIST_IMAGES by g^-1, so these
     # two hold for any g; they pin the round trip through conjugate.
@@ -310,10 +310,32 @@ def test_fold_tables_split_each_twist_into_inner_part_and_psi(token):
 
 
 def test_c3_fold_tables_pass_a1_and_a2_through():
-    assert FOLD_TABLES["c3", 1] == (
+    assert reference.FOLD_TABLES["c3", 1] == (
         (1,), (3, 1, 2), (3,), (1, 3, 4), (5, -3, -1))
-    assert FOLD_TABLES["c3", -1] == (
+    assert reference.FOLD_TABLES["c3", -1] == (
         (1,), (-1, -3, 2), (3,), (-3, -1, 4), (5, 1, 3))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_s1_program_conjugates_the_first_handle_by_the_commutator(sign):
+    # s1's program builds e = [b1, a1]^sign once and conjugates a1 and b1
+    # by it; the two-chain tables say the same of the twist itself.
+    e = (2, 1, -2, -1) if sign == 1 else (1, 2, -1, -2)
+    want = (fg.conjugate((1,), e), fg.conjugate((2,), e), (3,), (4,))
+    assert fg.TWIST_IMAGES["s1", sign] == want
+    assert monodromy._fold([("s1", sign)]) == (*want, ())
+
+
+@pytest.mark.parametrize("token", sorted(monodromy.FOLD_PROGRAMS))
+def test_fold_programs_read_each_image_register_before_writing_it(token):
+    # Registers 0-4 hold the images; a program that read one after
+    # writing it would see the new image where the table means the old.
+    written = set()
+    for target, *sources in monodromy.FOLD_PROGRAMS[token]:
+        assert all(0 <= i <= 8 for i in (target, *sources))
+        assert not written.intersection(sources), (token, target, sources)
+        if target < 5:
+            written.add(target)
 
 
 def test_conjugator_endo_bounds_the_images_it_builds(monkeypatch):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -18,7 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from lefschetz import catalog, freegroup as fg
+from lefschetz import catalog, freegroup as fg, monodromy
 from lefschetz.fileformat import (
     ParseError,
     parse_factorization,
@@ -85,7 +85,7 @@ def conjugation(w):
 def scan_is_inner(images):
     """Reference: try every conjugator ``prefix . a1^k`` with |k| up to the
     total image length plus two, in the order 0, 1, -1, 2, -2, ..."""
-    core, prefix = fg.cyclic_split(images[0])
+    core, prefix = reference.cyclic_split(images[0])
     if core != (1,):
         return None
     budget = sum(len(im) for im in images) + 2
@@ -131,6 +131,93 @@ def test_is_inner_matches_power_scan(w, toks, undo, tweak):
         i, extra = tweak
         images = images[:i] + (fg.concat(images[i], extra),) + images[i + 1 :]
     assert fg.is_inner(images) == scan_is_inner(images)
+
+
+@given(words(30), words(30), st.integers(0, 30))
+def test_glue_is_the_reduced_product(u, w, cut):
+    # v cancels u from ``cut`` on, so the junction drops up to all of u
+    v = fg.concat(fg.inverse(u[cut:]), w)
+    assert fg.glue(u, v) == fg.concat(u, v)
+    assert fg.glue(u, w) == fg.concat(u, w)
+
+
+@st.composite
+def image_sets(draw):
+    """One to four images: a conjugation by a reduced word composed with
+    up to two twists, ``w . g . w^-1`` for a possibly unreduced ``w``, or
+    random words; then, maybe, a cancelling pair slipped into one
+    image."""
+    kind = draw(st.sampled_from(("conjugation", "letterwise", "random")))
+    if kind == "conjugation":
+        images = conjugation(draw(words(8)))
+        for token in draw(st.lists(tokens, max_size=2)):
+            images = fg.compose(images, fg.TWIST_IMAGES[token])
+    elif kind == "letterwise":
+        # the a1 image spelled out; the others maybe glued at junctions,
+        # which reduces them when w is reduced
+        w = tuple(draw(st.lists(st.sampled_from(LETTERS), max_size=6)))
+        glued = draw(st.booleans())
+        images = tuple(
+            fg.glue(fg.glue(w, (g,)), fg.inverse(w)) if glued and g > 1
+            else w + (g,) + fg.inverse(w) for g in range(1, RANK + 1))
+    else:
+        images = tuple(tuple(draw(st.lists(st.sampled_from(LETTERS),
+                                           max_size=8))) for _ in IDENTITY)
+    images = images[:draw(st.integers(1, RANK))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(images) - 1))
+        j = draw(st.integers(0, len(images[i])))
+        x = draw(st.sampled_from(LETTERS))
+        images = (*images[:i], images[i][:j] + (x, -x) + images[i][j:],
+                  *images[i + 1:])
+    return images
+
+
+@given(image_sets())
+# w = (2, -2) is not reduced: w . g . w^-1 glued at its junctions gives
+# these images, yet the a1 image is not a reduced word.
+@example(((2, -2, 1, 2, -2), (2, 2, -2), (2, -2, 3, 2, -2), (2, -2, 4, 2, -2)))
+def test_is_inner_matches_the_whole_word_reference(images):
+    assert fg.is_inner(images) == reference.is_inner(images)
+
+
+@pytest.mark.parametrize("token", sorted(monodromy.FOLD_PROGRAMS))
+@given(st.tuples(*[words(12)] * 5))
+def test_each_fold_program_composes_its_table(token, acc):
+    # Any five reduced words, not only the folds of token words: the
+    # program is the substitution into the table, term for term.
+    want = fg.compose(acc, reference.FOLD_TABLES[token])
+    assert reference.run(monodromy.FOLD_PROGRAMS[token], acc) == want
+
+
+def _fold_outcome(fold, tokens):
+    """The fold's result or error message, and how many tokens it read."""
+    read = []
+
+    def feed():
+        for token in tokens:
+            read.append(token)
+            yield token
+
+    try:
+        return fold(feed()), len(read)
+    except ValueError as error:
+        return str(error), len(read)
+
+
+@given(st.lists(tokens, max_size=40), st.none() | st.integers(0, 40),
+       st.integers(0, 5000))
+def test_fold_matches_the_table_fold(word, bad_at, bound):
+    # Same images, or the same error raised after the same token: the
+    # letter bound (lowered so that long words reach it) or a token that
+    # has no table.
+    if bad_at is not None:
+        word.insert(bad_at, ("c9", 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "IMAGE_LETTER_BOUND", bound)
+        got = _fold_outcome(monodromy._fold, word)
+    want = _fold_outcome(lambda feed: reference.fold(feed, bound), word)
+    assert got == want
 
 
 @st.composite

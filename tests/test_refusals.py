@@ -10,6 +10,7 @@ from lefschetz.catalog import get_factorization
 from lefschetz.feasibility import (
     admissible,
     b2plus,
+    emit_chart,
     enumerate_types,
     indecomposability_check,
     signature,
@@ -72,6 +73,11 @@ REFUSALS = [
     (lambda: indecomposability_check(6.0, 2), "n must be an integer, got 6.0"),
     (lambda: enumerate_types(2.5, 3), "n_max must be an integer, got 2.5"),
     (lambda: enumerate_types(3, 3.0), "s_max must be an integer, got 3.0"),
+    # the chart's window bounds are counts too, in either format
+    (lambda: emit_chart([], 10.5, 5, "svg"), "n_max must be an integer, got 10.5"),
+    (lambda: emit_chart([], True, 5, "csv"), "n_max must be an integer, got True"),
+    (lambda: emit_chart([], 10, 5.0, "csv"), "s_max must be an integer, got 5.0"),
+    (lambda: emit_chart([], 10, False, "svg"), "s_max must be an integer, got False"),
 ]
 
 
